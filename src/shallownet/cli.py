@@ -1,10 +1,11 @@
 """Command-line front end: simulate, erho, verify, lightcone, depthbound, measure.
 
 Exit codes: 0 on success (all checks passing), 1 when a verification sweep
-finds a bound violation, 2 on usage or parse errors.  All reports are
-deterministic for a fixed seed and carry the tool version plus the resolved
-configuration; randomness flows from one root seed through the per-trial
-split scheme in ``sweeps.trial_seed``.
+finds a bound violation, 2 on usage, parse or malformed-input errors, 3 on an
+internal error (any other exception; its traceback goes to stderr).  All
+reports are deterministic for a fixed seed and carry the tool version plus the
+resolved configuration; randomness flows from one root seed through the
+per-trial split scheme in ``sweeps.trial_seed``.
 
 An optional ``--config FILE`` supplies flat ``key=value`` defaults mirroring
 the long flag names; explicit flags win.
@@ -18,6 +19,7 @@ import io
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -117,14 +119,25 @@ def _build_input(spec: str, n: int, l: int):
                 raise ValueError(f"unknown ket token {tok!r}")
         return states.product_state(factors)
     if spec.startswith("mixture:"):
-        with open(spec[len("mixture:"):], "r", encoding="utf-8") as fh:
+        path = spec[len("mixture:"):]
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
+            raise ValueError(f"mixture file {path}: field 'terms' is missing or not a list")
         terms = []
-        for term in doc["terms"]:
+        for t, term in enumerate(doc["terms"]):
+            where = f"mixture file {path}: terms[{t}]"
+            factor_docs = term.get("factors") if isinstance(term, dict) else None
+            if not isinstance(factor_docs, list) or not factor_docs:
+                raise ValueError(f"{where}: field 'factors' is missing or not a non-empty list")
+            if not isinstance(term.get("weight"), (int, float)):
+                raise ValueError(f"{where}: field 'weight' is missing or not a number")
             factors = []
-            for factor in term["factors"]:
-                state = states.state_from_dict(factor)
-                state = states.to_density(state)
+            for f, factor in enumerate(factor_docs):
+                try:
+                    state = states.to_density(states.state_from_dict(factor))
+                except ValueError as err:
+                    raise ValueError(f"{where}.factors[{f}]: {err}") from None
                 if state.n != 1:
                     raise ValueError("mixture factors must be single-site states")
                 factors.append(state.matrix)
@@ -346,14 +359,13 @@ def _measure_records(args, opts) -> list:
         raise ValueError("conjugated mode measures parity-x; observable mismatch")
 
     pauli = SIGMA_X if observable == "parity-x" else SIGMA_Z
+    parity = measurement.spectral_decompose(tensor(*([pauli] * n))) if mode == "strong" else None
 
     def exact_outcomes():
         if mode == "weak":
             return measurement.weak_measure_product_exact(rho, [pauli] * n)
         if mode == "strong":
-            return measurement.strong_measure_exact(
-                rho, measurement.spectral_decompose(tensor(*([pauli] * n)))
-            )
+            return measurement.strong_measure_exact(rho, parity)
         return measurement.conjugated_strong_measure_exact(
             rho, measurement.build_parity_conjugator(n)
         )
@@ -372,8 +384,7 @@ def _measure_records(args, opts) -> list:
                 o = measurement.weak_measure_product(rho, [pauli] * n, rng=rng)
                 value = o.combined_value
             elif mode == "strong":
-                dec = measurement.spectral_decompose(tensor(*([pauli] * n)))
-                o = measurement.strong_measure(rho, dec, rng)
+                o = measurement.strong_measure(rho, parity, rng)
                 value = o.value
             else:
                 o = measurement.conjugated_strong_measure(
@@ -505,6 +516,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # an internal fault must not read as a bound verdict
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -217,14 +217,31 @@ def state_to_dict(state) -> dict:
 
 
 def state_from_dict(doc: dict):
-    n, l, kind = int(doc["n"]), int(doc["l"]), doc["kind"]
-    values = np.array([complex(re, im) for re, im in doc["data"]])
+    """Inverse of ``state_to_dict``; a missing or malformed field raises a
+    ValueError that names it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"state JSON must be an object, got {type(doc).__name__}")
+    for key in ("n", "l", "kind", "data"):
+        if key not in doc:
+            raise ValueError(f"state JSON is missing field {key!r}")
+    for key in ("n", "l"):
+        if not isinstance(doc[key], int) or doc[key] < 1:
+            raise ValueError(f"state field {key!r} must be a positive integer, got {doc[key]!r}")
+    n, l, kind, data = doc["n"], doc["l"], doc["kind"], doc["data"]
+    try:
+        values = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except (TypeError, ValueError):
+        values = None
+    if not isinstance(data, list) or values is None:
+        raise ValueError("state field 'data' must be a list of [re, im] number pairs")
     if kind == "pure":
         return PureState(n, l, values)
     if kind == "density":
         dim = l**n
+        if values.size != dim * dim:
+            raise ValueError(f"state field 'data' has {values.size} entries, expected {dim * dim}")
         return DensityState(n, l, values.reshape(dim, dim))
-    raise ValueError(f"unknown state kind {kind!r}")
+    raise ValueError(f"state field 'kind' must be 'pure' or 'density', got {kind!r}")
 
 
 def state_to_json(state) -> str:

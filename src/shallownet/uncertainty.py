@@ -8,10 +8,18 @@ depth-k network can raise the value by at most ``2^k``.
 
 ``estimate_e`` reports a certified lower bound: every reported value is the
 trace norm actually achieved at the reported maximizer.  For qubits the
-search runs over the Bloch sphere (deterministic Fibonacci grid, then a
-projected subgradient ascent); for larger local dimensions it is a projected
-ascent over traceless Hermitian site observables with spectral spread 1,
-restarted from seeded random starts.
+search runs over Bloch directions v, where the functional is
+``f(v) = ||v . H||_1`` with ``H_p = i[S_p, rho]`` built once per call.  Every
+state obeys the variance ceiling ``f(v) <= 2 sqrt(v^T M v)`` (M the 3x3 spin
+covariance, with equality on pure states).  The candidates (a deterministic
+Fibonacci grid plus the two top-variance directions) are visited in
+decreasing order of ceiling, stopping once no remaining ceiling can beat the
+best value found.  A best value at ``2 sqrt(lambda_max(M))`` is certified
+optimal and ends the search with ``iterations = 0``, which is what happens on
+pure states; otherwise a projected subgradient ascent refines the best
+candidate.  For larger local dimensions the search is a projected ascent over
+traceless Hermitian site observables with spectral spread 1, restarted from
+seeded random starts.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ from .states import DensityState, SeparableInput, density_matrix, mix
 SPREAD_ATOL = 1e-10
 PURITY_ATOL = 1e-8
 DEGENERACY_GAP = 1e-10
+# Rounding allowance on the variance ceiling of the qubit search: far above
+# the error of the 3x3 covariance and of an eigenvalue sum, far below any
+# tolerance the reports are read at.
+CEILING_SLACK = 1e-12
+HALF_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z]) / 2
 
 
 @dataclass(frozen=True)
@@ -126,8 +139,7 @@ def commutator_trace_norm(abar, rho) -> float:
     a = _abar_matrix(abar, m)
     if a.shape != m.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
-    h = 1j * linalg.commutator(a, m)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    return _hermitian_trace_norm(1j * linalg.commutator(a, m))
 
 
 def commutator_witness(abar, rho):
@@ -187,8 +199,27 @@ def hypersurface_value(rho, surface: Hypersurface) -> float:
 # Qubit inner maximization
 # ---------------------------------------------------------------------------
 
-def _pauli_averages(n: int) -> list[np.ndarray]:
-    return [averaging_matrix(SiteObservable(p / 2), n) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+def _spin_moments(m: np.ndarray, n: int):
+    """Products ``T_p = S_p rho`` for the three spin averages, and their covariance.
+
+    ``S_p`` is the average of sigma_p/2 over the n qubits.  It is never
+    formed: sigma_p/2 is contracted into each site's row axis of rho.  The
+    covariance ``M_pq = Re tr(S_q T_p) - tr(T_p) tr(T_q)`` takes its first
+    term from the one-site marginals of T_p, so Var(v . S) = v^T M v.
+    """
+    t = m.reshape((2,) * n + (-1,))
+    prods = np.zeros((3,) + t.shape, dtype=complex)
+    for i in range(n):
+        for p in range(3):
+            prods[p] += np.moveaxis(np.tensordot(HALF_PAULIS[p], t, axes=([1], [i])), 0, i)
+    prods = prods.reshape(3, 2**n, 2**n) / n
+    means = np.real(np.trace(prods, axis1=1, axis2=2))
+    marginals = np.stack([
+        sum(linalg.reduce_to_site(tp, i, n, 2) for i in range(1, n + 1)) for tp in prods
+    ])
+    second = np.real(np.einsum("qab,pba->pq", HALF_PAULIS, marginals)) / n
+    cov = second - np.outer(means, means)
+    return prods, (cov + cov.T) / 2
 
 
 def max_variance_qubit(rho):
@@ -202,16 +233,9 @@ def max_variance_qubit(rho):
     n = round(math.log2(m.shape[0]))
     if 2**n != m.shape[0]:
         raise ValueError("max_variance_qubit requires local dimension 2")
-    s = _pauli_averages(n)
-    means = [float(np.real(np.trace(sp @ m))) for sp in s]
-    mat = np.empty((3, 3))
-    for p in range(3):
-        for q in range(p, 3):
-            sym = float(np.real(np.trace((s[p] @ s[q] + s[q] @ s[p]) / 2 @ m)))
-            mat[p, q] = mat[q, p] = sym - means[p] * means[q]
-    eig, vec = np.linalg.eigh(mat)
-    value = float(eig[-1])
-    return max(value, 0.0), vec[:, -1]
+    _, cov = _spin_moments(m, n)
+    eig, vec = np.linalg.eigh(cov)
+    return max(float(eig[-1]), 0.0), vec[:, -1]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -249,6 +273,10 @@ class MacroUncertaintyReport:
         }
 
 
+def _hermitian_trace_norm(h: np.ndarray) -> float:
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+
+
 def _tracenorm_and_sign(a: np.ndarray, m: np.ndarray):
     h = 1j * (a @ m - m @ a)
     eig, vec = np.linalg.eigh(h)
@@ -269,21 +297,18 @@ def _subgradient_sign(eig: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (vec * signs) @ vec.conj().T
 
 
-def _ascend_bloch(v0, m, s_ops, max_iter, tol):
-    """Projected subgradient ascent of the trace norm over the Bloch sphere."""
-    v = v0 / np.linalg.norm(v0)
-    best = float(np.sum(np.abs(np.linalg.eigvalsh(
-        1j * ((v[0] * s_ops[0] + v[1] * s_ops[1] + v[2] * s_ops[2]) @ m
-              - m @ (v[0] * s_ops[0] + v[1] * s_ops[1] + v[2] * s_ops[2]))))))
+def _ascend_bloch(v, best, h, max_iter, tol):
+    """Projected subgradient ascent of ``f(v) = ||v . H||_1`` over the Bloch sphere.
+
+    ``best`` is f at the start ``v``; the gradient of f is ``tr(w H_p)``
+    with w the sign factor of ``v . H``.
+    """
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        a = v[0] * s_ops[0] + v[1] * s_ops[1] + v[2] * s_ops[2]
-        value, eig, vec = _tracenorm_and_sign(a, m)
+        eig, vec = np.linalg.eigh(np.tensordot(v, h, axes=1))
         w = _subgradient_sign(eig, vec)
-        grad = np.array([
-            float(np.real(np.trace(w @ (1j * (sp @ m - m @ sp))))) for sp in s_ops
-        ])
+        grad = np.real(np.einsum("ij,pji->p", w, h))
         grad -= np.dot(grad, v) * v
         if np.linalg.norm(grad) < tol:
             break
@@ -292,8 +317,7 @@ def _ascend_bloch(v0, m, s_ops, max_iter, tol):
         while step > 1e-7:
             cand = v + step * grad
             cand /= np.linalg.norm(cand)
-            a_c = cand[0] * s_ops[0] + cand[1] * s_ops[1] + cand[2] * s_ops[2]
-            val_c = float(np.sum(np.abs(np.linalg.eigvalsh(1j * (a_c @ m - m @ a_c)))))
+            val_c = _hermitian_trace_norm(np.tensordot(cand, h, axes=1))
             if val_c > best + 1e-15:
                 v, best = cand, val_c
                 improved = True
@@ -305,21 +329,34 @@ def _ascend_bloch(v0, m, s_ops, max_iter, tol):
 
 
 def _estimate_qubit(m, n, grid_size, max_iter, tol):
-    s_ops = _pauli_averages(n)
-    candidates = list(fibonacci_sphere(grid_size))
-    var_value, var_dir = max_variance_qubit(m)
-    candidates.append(var_dir)
-    candidates.append(-var_dir)
+    """Bound-ordered grid search, then the ascent unless the grid is certified.
 
-    def value_at(v):
-        a = v[0] * s_ops[0] + v[1] * s_ops[1] + v[2] * s_ops[2]
-        return float(np.sum(np.abs(np.linalg.eigvalsh(1j * (a @ m - m @ a)))))
-
-    values = [value_at(v) for v in candidates]
-    v0 = candidates[int(np.argmax(values))]
-    v_best, best, iterations = _ascend_bloch(np.asarray(v0), m, s_ops, max_iter, tol)
-    if best < max(values):
-        v_best, best = np.asarray(v0), max(values)
+    ``f(v) = ||v . H||_1`` with ``H_p = i[S_p, rho]`` never exceeds the
+    variance ceiling ``2 sqrt(v^T M v)``.  Candidates are visited in
+    decreasing order of ceiling until the next ceiling falls below the best
+    value found; no skipped candidate could have beaten it.  A best value at
+    ``2 sqrt(lambda_max(M))`` is the global maximum, so the ascent is skipped.
+    """
+    prods, cov = _spin_moments(m, n)
+    # H_p = i(T_p - T_p^H), written over T so the search holds one 3 x d x d stack.
+    h = np.subtract(prods, prods.conj().transpose(0, 2, 1), out=prods)
+    h *= 1j
+    eig, vec = np.linalg.eigh(cov)
+    var_value = max(float(eig[-1]), 0.0)
+    ceiling_max = 2.0 * math.sqrt(var_value)
+    candidates = np.vstack([fibonacci_sphere(grid_size), vec[:, -1], -vec[:, -1]])
+    quad = np.einsum("ip,pq,iq->i", candidates, cov, candidates)
+    ceilings = 2.0 * np.sqrt(np.clip(quad, 0.0, None))
+    best, v0 = -1.0, None
+    for idx in np.argsort(-ceilings, kind="stable"):
+        if ceilings[idx] < best - CEILING_SLACK:
+            break
+        value = _hermitian_trace_norm(np.tensordot(candidates[idx], h, axes=1))
+        if value > best:
+            best, v0 = value, candidates[idx]
+        if best >= ceiling_max - CEILING_SLACK:
+            return SiteObservable.from_bloch(v0), best, 0, var_value
+    v_best, best, iterations = _ascend_bloch(v0, best, h, max_iter, tol)
     return SiteObservable.from_bloch(v_best), best, iterations, var_value
 
 
@@ -345,7 +382,7 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
         g = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
         c = _normalize_spread(_project_traceless((g + g.conj().T) / 2))
         a = averaging_matrix(SiteObservable(c), n)
-        value = float(np.sum(np.abs(np.linalg.eigvalsh(1j * (a @ m - m @ a)))))
+        value = _hermitian_trace_norm(1j * (a @ m - m @ a))
         for _ in range(max_iter):
             iterations += 1
             a = averaging_matrix(SiteObservable(c), n)
@@ -363,7 +400,7 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
             while step > 1e-7:
                 cand = _normalize_spread(_project_traceless(c + step * grad))
                 a_c = averaging_matrix(SiteObservable(cand), n)
-                val_c = float(np.sum(np.abs(np.linalg.eigvalsh(1j * (a_c @ m - m @ a_c)))))
+                val_c = _hermitian_trace_norm(1j * (a_c @ m - m @ a_c))
                 if val_c > value + 1e-15:
                     c, value = cand, val_c
                     improved = True
@@ -389,7 +426,8 @@ def estimate_e(
 
     Deterministic given ``seed``.  For pure qubit states the report also
     carries the exact upper bound ``2 sqrt(max variance)`` (the functional
-    equals that bound on pure states).
+    equals that bound on pure states, so the qubit search certifies it and
+    reports ``iterations = 0``).
     """
     state = rho if isinstance(rho, DensityState) else rho.density()
     m = state.matrix

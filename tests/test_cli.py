@@ -108,6 +108,45 @@ class TestErho:
         assert report["variance_bound"] == pytest.approx(1 / np.sqrt(8), abs=1e-6)
 
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"l": 2, "kind": "pure", "data": [[1, 0], [0, 0]]}, "'n'"),
+        ({"n": 1, "l": 2, "kind": "pure", "data": [1, 0]}, "'data'"),
+        ({"n": 1, "l": 2, "kind": "density", "data": [[1, 0]]}, "'data'"),
+    ])
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["erho", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({}, "'terms'"),
+        ({"terms": [{"factors": [{"n": 1, "l": 2, "kind": "pure", "data": [[1, 0], [0, 0]]}]}]},
+         "'weight'"),
+        ({"terms": [{"weight": 1.0, "factors": [{"l": 2, "kind": "pure", "data": [[1, 0], [0, 0]]}]}]},
+         "terms[0].factors[0]: state JSON is missing field 'n'"),
+    ])
+    def test_malformed_mixture_exits_2(self, tmp_path, capsys, doc, field):
+        circuit = tmp_path / "one.qnet"
+        circuit.write_text("qubits 1\n")
+        mix_file = tmp_path / "mix.json"
+        mix_file.write_text(json.dumps(doc))
+        assert main(["erho", "--circuit", str(circuit), "--input", f"mixture:{mix_file}"]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, monkeypatch, tmp_path, capsys):
+        from shallownet import cli as cli_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("estimator fault")
+
+        monkeypatch.setattr(cli_module.uncertainty, "estimate_e", broken)
+        path = tmp_path / "zero.json"
+        path.write_text(states.state_to_json(states.basis_state(1, 2)))
+        assert main(["erho", str(path)]) == 3
+        assert "internal error: RuntimeError: estimator fault" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_sweep_one_passes(self, capsys):
         code, report = run_json(

@@ -3,7 +3,7 @@ import pytest
 
 from shallownet import states, uncertainty
 from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm
-from shallownet.network import cat_ladder, identity_network
+from shallownet.network import apply_pure, cat_ladder, identity_network, random_shallow
 from shallownet.states import (
     SeparableInput,
     cat_state,
@@ -187,6 +187,30 @@ class TestEstimate:
                 for v in fibonacci_sphere(10_000)
             )
             assert abs(report.e_lower - grid_best) <= 1e-3
+
+    def test_pruned_search_reaches_every_candidate(self):
+        # The ceiling-ordered search may skip candidates, but never one that
+        # would have beaten the value it reports.
+        rng = np.random.default_rng(30)
+        for n in (2, 3, 4):
+            for rank in (2, None):
+                rho = random_density_state(n, 2, rng, rank=rank)
+                _, v_m = max_variance_qubit(rho)
+                candidates = list(fibonacci_sphere(144)) + [v_m, -v_m]
+                exhaustive = max(
+                    commutator_trace_norm(averaging_matrix(SiteObservable.from_bloch(v), n), rho)
+                    for v in candidates
+                )
+                assert estimate_e(rho).e_lower >= exhaustive - 1e-12
+
+    def test_pure_state_certified_without_ascent(self):
+        rng = np.random.default_rng(31)
+        net = random_shallow(8, 2, rng)
+        rho = to_density(apply_pure(net, product_state([KET0] * 8)))
+        report = estimate_e(rho)
+        value, _ = max_variance_qubit(rho)
+        assert report.e_lower == pytest.approx(2 * np.sqrt(value), abs=1e-10)
+        assert report.iterations == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
