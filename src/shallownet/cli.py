@@ -199,7 +199,7 @@ def cmd_simulate(args) -> int:
                   "y": uncertainty.SiteObservable(np.array([[0, -0.5j], [0.5j, 0]])),
                   "z": uncertainty.SiteObservable(np.array([[0.5, 0], [0, -0.5]]))}
         report["variance"] = {
-            axis: uncertainty.variance(uncertainty.averaging_matrix(c, net.n), rho)
+            axis: uncertainty.variance(c, rho)
             for axis, c in paulis.items()
         }
     if args.state_out:

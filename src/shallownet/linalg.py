@@ -1,9 +1,12 @@
-"""Dense complex-matrix kernel shared by the rest of the package.
+"""Complex-matrix kernels shared by the rest of the package.
 
-Everything operates on plain numpy arrays of dtype complex128.  Matrices stay
-small here (at most a few thousand rows), so norms go through full
-eigendecompositions rather than iterative methods: robustness beats speed at
-desk scale.  All functions are pure; none mutate their arguments.
+Everything operates on plain numpy arrays of dtype complex128.  Every local
+operator acts through one kernel, ``act_local``, on the axes it touches;
+``embed`` and the uncertainty module's ``averaging_matrix`` build the full
+l^n x l^n matrices as the dense reference.  Matrices stay small here (at
+most a few thousand rows), so norms go through full eigendecompositions
+rather than iterative methods: robustness beats speed at desk scale.  All
+functions are pure; none mutate their arguments.
 
 Site indices are 1-based throughout the public interfaces, with site 1 being
 the first (leftmost) tensor factor in row-major Kronecker ordering.
@@ -98,6 +101,19 @@ def embed(op, sites: Sequence[int], n: int, l: int) -> np.ndarray:
     perm = [order.index(site) for site in range(n)]
     t = full.reshape((l,) * (2 * n))
     return t.transpose(perm + [n + p for p in perm]).reshape(l**n, l**n)
+
+
+def act_local(op, axes: Sequence[int], t: np.ndarray, l: int) -> np.ndarray:
+    """Contract an l^k x l^k operator into the given 0-based axes of a tensor.
+
+    With ``axes = [s - 1 for s in sites]`` on a vector reshaped to ``(l,)*n``
+    this is ``embed(op, sites, n, l) @ v``; on the column axes ``n + s - 1``
+    of a matrix reshaped to ``(l,)*2n`` it is ``x @ embed(op, sites, n, l).T``.
+    """
+    k = len(axes)
+    g = np.reshape(op, (l,) * (2 * k))
+    out = np.tensordot(g, t, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
 
 
 def operator_norm(a) -> float:

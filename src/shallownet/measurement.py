@@ -21,9 +21,11 @@ import numpy as np
 
 from . import linalg
 from .linalg import SIGMA_X
-from .network import CNOT, LocalChannel, Network, Step, apply, apply_dual, invert_unitary
+from .network import (
+    CNOT, LocalChannel, Network, Step, _conjugate_by_channels, apply, apply_dual, invert_unitary,
+)
 from .states import DensityState
-from .uncertainty import SiteObservable, averaging_matrix
+from .uncertainty import SiteObservable, _commutator
 
 PROJECTOR_ATOL = 1e-10
 PROBABILITY_FLOOR = 1e-12
@@ -148,8 +150,19 @@ class WeakOutcome:
     post_state: DensityState | None
 
 
-def _site_decompositions(site_observables) -> list[SpectralDecomposition]:
-    return [spectral_decompose(linalg.require_hermitian(a)) for a in site_observables]
+def _weak_setup(rho, site_observables, post_fn):
+    """The state, each site's spectral decomposition, and an outcome-record builder."""
+    state = rho if isinstance(rho, DensityState) else rho.density()
+    decs = [spectral_decompose(linalg.require_hermitian(a)) for a in site_observables]
+    if len(decs) != state.n:
+        raise ValueError(f"need {state.n} site observables, got {len(decs)}")
+    combine = post_fn if post_fn is not None else (lambda x: x)
+
+    def record(values: tuple, p: float, post: np.ndarray) -> WeakOutcome:
+        combined = float(combine(float(np.prod(values))))
+        return WeakOutcome(values, p, combined, DensityState(state.n, state.l, post))
+
+    return state, decs, record
 
 
 def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
@@ -159,32 +172,20 @@ def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
     outcomes (identity by default), matching the spectrum of the product
     observable built from the same site operators.
     """
-    state = rho if isinstance(rho, DensityState) else rho.density()
-    decs = _site_decompositions(site_observables)
-    if len(decs) != state.n:
-        raise ValueError(f"need {state.n} site observables, got {len(decs)}")
-    combine = post_fn if post_fn is not None else (lambda x: x)
+    state, decs, record = _weak_setup(rho, site_observables, post_fn)
     outcomes: list[WeakOutcome] = []
 
-    def walk(site: int, proj: np.ndarray, values: tuple):
+    def walk(site: int, m: np.ndarray, values: tuple):
         if site == state.n:
-            p = float(np.real(np.trace(proj @ state.matrix)))
-            if p <= PROBABILITY_FLOOR:
-                return
-            post = proj @ state.matrix @ proj / p
-            outcomes.append(
-                WeakOutcome(
-                    site_outcomes=values,
-                    probability=p,
-                    combined_value=float(combine(float(np.prod(values)))),
-                    post_state=DensityState(state.n, state.l, post),
-                )
-            )
+            p = float(np.real(np.trace(m)))
+            if p > PROBABILITY_FLOOR:
+                outcomes.append(record(values, p, m / p))
             return
         for value, q in zip(decs[site].eigenvalues, decs[site].projectors):
-            walk(site + 1, np.kron(proj, q), values + (value,))
+            post = _conjugate_by_channels(m, [((site + 1,), [q])], state.n, state.l)
+            walk(site + 1, post, values + (value,))
 
-    walk(0, np.eye(1, dtype=complex), ())
+    walk(0, state.matrix, ())
     return outcomes
 
 
@@ -192,28 +193,19 @@ def weak_measure_product(rho, site_observables, post_fn=None, rng: np.random.Gen
     """Sample site-by-site, collapsing as measurements proceed."""
     if rng is None:
         raise ValueError("weak_measure_product needs a random generator")
-    state = rho if isinstance(rho, DensityState) else rho.density()
-    decs = _site_decompositions(site_observables)
-    if len(decs) != state.n:
-        raise ValueError(f"need {state.n} site observables, got {len(decs)}")
-    combine = post_fn if post_fn is not None else (lambda x: x)
-    current = state.matrix.copy()
-    joint = 1.0
-    values: list[float] = []
+    state, decs, record = _weak_setup(rho, site_observables, post_fn)
+    n, l = state.n, state.l
+    current, joint, values = state.matrix, 1.0, ()
     for site, dec in enumerate(decs, start=1):
-        full = [linalg.embed(q, [site], state.n, state.l) for q in dec.projectors]
-        probs = np.array([max(float(np.real(np.trace(f @ current))), 0.0) for f in full])
+        marginal = linalg.reduce_to_site(current, site, n, l)
+        probs = np.array([max(float(np.real(np.trace(q @ marginal))), 0.0) for q in dec.projectors])
         probs /= probs.sum()
-        idx = int(rng.choice(len(full), p=probs))
+        idx = int(rng.choice(len(probs), p=probs))
         joint *= float(probs[idx])
-        values.append(dec.eigenvalues[idx])
-        current = full[idx] @ current @ full[idx] / probs[idx]
-    return WeakOutcome(
-        site_outcomes=tuple(values),
-        probability=joint,
-        combined_value=float(combine(float(np.prod(values)))),
-        post_state=DensityState(state.n, state.l, current),
-    )
+        values += (dec.eigenvalues[idx],)
+        current = _conjugate_by_channels(current, [((site,), [dec.projectors[idx]])], n, l)
+        current /= probs[idx]
+    return record(values, joint, current)
 
 
 def combined_value_distribution(outcomes) -> dict:
@@ -386,8 +378,7 @@ def check_projection_commutator_bound(
         raise ValueError("the measurement depth bound applies to unitary networks only")
     if (projection.n, projection.l) != (net.n, net.l):
         raise ValueError("projection and network disagree on system shape")
-    abar = averaging_matrix(c, net.n)
     propagated = apply_dual(net, projection.matrix())
-    lhs = commutator_opnorm(abar, propagated)
+    lhs = linalg.operator_norm(1j * _commutator(c, propagated))
     bound = projection_bound(net.n, net.depth)
     return ProjectionBoundCheck(lhs=lhs, bound=bound, passed=lhs <= bound + tol)

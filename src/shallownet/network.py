@@ -5,7 +5,8 @@ are the single-Kraus special case.  A step is a set of channels with pairwise
 disjoint supports; a network is an ordered sequence of steps.  Networks act on
 density matrices in step order (Schrodinger picture) and on observables in
 reverse step order (Heisenberg picture, ``apply_dual``), so that
-``tr(apply_dual(net, a) @ rho) == tr(a @ apply(net, rho).matrix)``.
+``tr(apply_dual(net, a) @ rho) == tr(a @ apply(net, rho).matrix)``.  Kraus
+operators act through ``linalg.act_local`` on the axes they touch only.
 
 Depth is reported two ways: the raw step count (``net.depth``) and
 ``canonical_depth``, which first contracts steps made purely of single-site
@@ -182,23 +183,25 @@ def identity_network(n: int, l: int = 2) -> Network:
 # Application
 # ---------------------------------------------------------------------------
 
-def _apply_channel_matrix(rho: np.ndarray, ch: LocalChannel, n: int, l: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in ch.kraus:
-        kf = linalg.embed(k, ch.support, n, l)
-        out += kf @ rho @ kf.conj().T
-    return out
+def _conjugate_by_channels(m: np.ndarray, families, n: int, l: int) -> np.ndarray:
+    """m -> sum_K K m K^dag for each (support, Kraus family) in turn."""
+    t = m.reshape((l,) * (2 * n))
+    for support, kraus in families:
+        rows = [s - 1 for s in support]
+        cols = [n + r for r in rows]
+        out = np.zeros_like(t)
+        for k in kraus:
+            out += linalg.act_local(k.conj(), cols, linalg.act_local(k, rows, t, l), l)
+        t = out
+    return t.reshape(m.shape)
 
 
 def apply(net: Network, rho: DensityState) -> DensityState:
     """Run the network on a density state, channels in step order."""
     if (rho.n, rho.l) != (net.n, net.l):
         raise ValueError(f"state is ({rho.n}, {rho.l}) but network is ({net.n}, {net.l})")
-    m = rho.matrix.copy()
-    for step in net.steps:
-        for ch in step.channels:
-            m = _apply_channel_matrix(m, ch, net.n, net.l)
-    return DensityState(net.n, net.l, m)
+    families = ((ch.support, ch.kraus) for step in net.steps for ch in step.channels)
+    return DensityState(net.n, net.l, _conjugate_by_channels(rho.matrix, families, net.n, net.l))
 
 
 def apply_pure(net: Network, psi: PureState) -> PureState:
@@ -207,11 +210,11 @@ def apply_pure(net: Network, psi: PureState) -> PureState:
         raise ValueError("pure-state application requires a unitary network")
     if (psi.n, psi.l) != (net.n, net.l):
         raise ValueError(f"state is ({psi.n}, {psi.l}) but network is ({net.n}, {net.l})")
-    v = psi.amplitudes.copy()
+    t = psi.amplitudes.reshape((net.l,) * net.n)
     for step in net.steps:
         for ch in step.channels:
-            v = linalg.embed(ch.kraus[0], ch.support, net.n, net.l) @ v
-    return PureState(net.n, net.l, v)
+            t = linalg.act_local(ch.kraus[0], [s - 1 for s in ch.support], t, net.l)
+    return PureState(net.n, net.l, t.reshape(-1))
 
 
 def apply_dual(net: Network, a: np.ndarray) -> np.ndarray:
@@ -220,15 +223,9 @@ def apply_dual(net: Network, a: np.ndarray) -> np.ndarray:
     dim = net.l**net.n
     if m.shape[0] != dim:
         raise ValueError(f"observable dimension {m.shape[0]}, expected {dim}")
-    m = m.copy()
-    for step in reversed(net.steps):
-        for ch in step.channels:
-            out = np.zeros_like(m)
-            for k in ch.kraus:
-                kf = linalg.embed(k, ch.support, net.n, net.l)
-                out += kf.conj().T @ m @ kf
-            m = out
-    return m
+    families = ((ch.support, [k.conj().T for k in ch.kraus])
+                for step in reversed(net.steps) for ch in step.channels)
+    return _conjugate_by_channels(m.copy(), families, net.n, net.l)
 
 
 def invert_unitary(net: Network) -> Network:

@@ -110,23 +110,41 @@ def averaging_matrix(c, n: int) -> np.ndarray:
     return out / n
 
 
-def _abar_matrix(abar, rho: np.ndarray) -> np.ndarray:
-    if isinstance(abar, AveragingObservable):
-        return abar.matrix()
+def _abar_times(abar, x: np.ndarray) -> np.ndarray:
+    """``abar @ x``: site by site for a site (averaged over every site of x) or
+    averaging observable, densely for a raw matrix."""
     if isinstance(abar, SiteObservable):
-        n = round(math.log(rho.shape[0], abar.l))
-        return averaging_matrix(abar, n)
-    return linalg.require_square(abar)
+        abar = AveragingObservable(abar, round(math.log(x.shape[0], abar.l)))
+    if not isinstance(abar, AveragingObservable):
+        a = linalg.require_square(abar)
+        if a.shape != x.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
+        return a @ x
+    l, n = abar.site.l, abar.n
+    if (l**n, l**n) != x.shape:
+        raise ValueError(f"dimension mismatch: {(l**n, l**n)} vs {x.shape}")
+    op, t = abar.site.centered(), x.reshape((l,) * n + (-1,))
+    out = np.zeros_like(t)
+    for i in range(n):
+        out += linalg.act_local(op, [i], t, l)
+    return out.reshape(x.shape) / n
+
+
+def _commutator(abar, h: np.ndarray) -> np.ndarray:
+    """``[abar, h]`` for a Hermitian h; ``h abar = (abar h)^dag`` needs abar
+    Hermitian too, so a raw matrix takes the dense commutator."""
+    if isinstance(abar, (SiteObservable, AveragingObservable)):
+        y = _abar_times(abar, h)
+        return y - y.conj().T
+    return linalg.commutator(abar, h)
 
 
 def variance(abar, rho) -> float:
     """tr(abar^2 rho) - tr(abar rho)^2, clamped to be nonnegative."""
     m = density_matrix(rho)
-    a = _abar_matrix(abar, m)
-    if a.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
-    mean = float(np.real(np.trace(a @ m)))
-    second = float(np.real(np.trace(a @ a @ m)))
+    y = _abar_times(abar, m)
+    mean = float(np.real(np.trace(y)))
+    second = float(np.real(np.trace(_abar_times(abar, y))))
     v = second - mean * mean
     if v < -1e-9:
         raise ValueError(f"variance {v} is negative beyond numerical tolerance")
@@ -135,11 +153,7 @@ def variance(abar, rho) -> float:
 
 def commutator_trace_norm(abar, rho) -> float:
     """Trace norm of [abar, rho]."""
-    m = density_matrix(rho)
-    a = _abar_matrix(abar, m)
-    if a.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
-    return _hermitian_trace_norm(1j * linalg.commutator(a, m))
+    return _hermitian_trace_norm(1j * _commutator(abar, density_matrix(rho)))
 
 
 def commutator_witness(abar, rho):
@@ -149,10 +163,7 @@ def commutator_witness(abar, rho):
     equal to the value: b is ``-i sign(i [abar, rho])``, the polar-sign factor
     of the commutator.
     """
-    m = density_matrix(rho)
-    a = _abar_matrix(abar, m)
-    h = 1j * linalg.commutator(a, m)
-    eig, vec = np.linalg.eigh(h)
+    eig, vec = np.linalg.eigh(1j * _commutator(abar, density_matrix(rho)))
     b = -1j * (vec * np.sign(eig)) @ vec.conj().T
     return float(np.sum(np.abs(eig))), b
 
@@ -183,12 +194,11 @@ def commutator_expectation(rho, abar, b) -> float:
     meaningful witnesses are the polar-sign factors from
     ``commutator_witness`` (or any phase rotation of a Hermitian b).
     """
-    m = density_matrix(rho)
-    a = _abar_matrix(abar, m)
     b = linalg.require_square(b)
     if linalg.operator_norm(b) > 1.0 + 1e-10:
         raise ValueError("witness operator must have norm at most 1")
-    return float(np.real(np.trace(m @ (a @ b - b @ a))))
+    # tr(rho [abar, b]) = -tr([abar, rho] b), a commutator with Hermitian rho
+    return -float(np.real(np.einsum("ij,ji->", _commutator(abar, density_matrix(rho)), b)))
 
 
 def hypersurface_value(rho, surface: Hypersurface) -> float:
@@ -202,17 +212,13 @@ def hypersurface_value(rho, surface: Hypersurface) -> float:
 def _spin_moments(m: np.ndarray, n: int):
     """Products ``T_p = S_p rho`` for the three spin averages, and their covariance.
 
-    ``S_p`` is the average of sigma_p/2 over the n qubits.  It is never
-    formed: sigma_p/2 is contracted into each site's row axis of rho.  The
+    ``S_p`` (sigma_p/2 averaged over the n qubits) acts site by site.  The
     covariance ``M_pq = Re tr(S_q T_p) - tr(T_p) tr(T_q)`` takes its first
     term from the one-site marginals of T_p, so Var(v . S) = v^T M v.
     """
-    t = m.reshape((2,) * n + (-1,))
-    prods = np.zeros((3,) + t.shape, dtype=complex)
-    for i in range(n):
-        for p in range(3):
-            prods[p] += np.moveaxis(np.tensordot(HALF_PAULIS[p], t, axes=([1], [i])), 0, i)
-    prods = prods.reshape(3, 2**n, 2**n) / n
+    prods = np.empty((3,) + m.shape, dtype=complex)
+    for p, half in enumerate(HALF_PAULIS):
+        prods[p] = _abar_times(SiteObservable(half), m)
     means = np.real(np.trace(prods, axis1=1, axis2=2))
     marginals = np.stack([
         sum(linalg.reduce_to_site(tp, i, n, 2) for i in range(1, n + 1)) for tp in prods
@@ -275,13 +281,6 @@ class MacroUncertaintyReport:
 
 def _hermitian_trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-
-
-def _tracenorm_and_sign(a: np.ndarray, m: np.ndarray):
-    h = 1j * (a @ m - m @ a)
-    eig, vec = np.linalg.eigh(h)
-    value = float(np.sum(np.abs(eig)))
-    return value, eig, vec
 
 
 def _subgradient_sign(eig: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -379,14 +378,11 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
     best = -1.0
     iterations = 0
     for _ in range(max(restarts, 1)):
-        g = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
-        c = _normalize_spread(_project_traceless((g + g.conj().T) / 2))
-        a = averaging_matrix(SiteObservable(c), n)
-        value = _hermitian_trace_norm(1j * (a @ m - m @ a))
+        c = random_site_observable(l, rng).matrix
+        value = _hermitian_trace_norm(1j * _commutator(SiteObservable(c), m))
         for _ in range(max_iter):
             iterations += 1
-            a = averaging_matrix(SiteObservable(c), n)
-            _, eig, vec = _tracenorm_and_sign(a, m)
+            eig, vec = np.linalg.eigh(1j * _commutator(SiteObservable(c), m))
             w = _subgradient_sign(eig, vec)
             lifted = 1j * (m @ w - w @ m)
             grad = np.zeros((l, l), dtype=complex)
@@ -399,8 +395,7 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
             improved = False
             while step > 1e-7:
                 cand = _normalize_spread(_project_traceless(c + step * grad))
-                a_c = averaging_matrix(SiteObservable(cand), n)
-                val_c = _hermitian_trace_norm(1j * (a_c @ m - m @ a_c))
+                val_c = _hermitian_trace_norm(1j * _commutator(SiteObservable(cand), m))
                 if val_c > value + 1e-15:
                     c, value = cand, val_c
                     improved = True

@@ -85,6 +85,24 @@ class TestEmbed:
             embed(np.eye(3), [1], 2, 2)
 
 
+class TestActLocal:
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("sites", [[2], [1, 3], [3, 1]], ids=["one", "two", "two-reversed"])
+    def test_matches_embed_oracle(self, l, sites):
+        rng = np.random.default_rng(7)
+        n, d = 3, l**3
+        op = random_matrix(rng, l ** len(sites))
+        dense = embed(op, sites, n, l)
+        axes = [s - 1 for s in sites]
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        got = linalg.act_local(op, axes, v.reshape((l,) * n), l)
+        assert np.allclose(got.reshape(d), dense @ v, atol=1e-12)
+        # on the column axes of a matrix the operator acts transposed from the right
+        x = random_matrix(rng, d)
+        got = linalg.act_local(op, [n + a for a in axes], x.reshape((l,) * (2 * n)), l)
+        assert np.allclose(got.reshape(d, d), x @ dense.T, atol=1e-12)
+
+
 class TestOperatorNorm:
     def test_pauli(self):
         assert operator_norm(SIGMA_X) == pytest.approx(1.0)

@@ -169,6 +169,18 @@ class TestWeakMeasure:
         assert out.combined_value == pytest.approx(1.0)
         assert np.prod(out.site_outcomes) == pytest.approx(out.combined_value)
 
+    def test_sampled_record_matches_exact_twin(self):
+        rng = np.random.default_rng(39)
+        rho = states.random_density_state(3, 2, rng, rank=2)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        site_observables = [SIGMA_X, SIGMA_Z, (g + g.conj().T) / 2]
+        exact = {o.site_outcomes: o for o in weak_measure_product_exact(rho, site_observables)}
+        for seed in range(6):
+            out = weak_measure_product(rho, site_observables, rng=np.random.default_rng(seed))
+            twin = exact[out.site_outcomes]
+            assert abs(out.probability - twin.probability) <= 1e-10
+            assert np.allclose(out.post_state.matrix, twin.post_state.matrix, atol=1e-10, rtol=0.0)
+
     def test_destroys_and_prepares_are_complementary(self):
         n = 4
         outs = weak_measure_product_exact(cat_state(n), [SIGMA_X] * n)

@@ -102,6 +102,18 @@ class TestApply:
             via_density = apply(net, psi.density())
             assert np.allclose(via_pure.matrix, via_density.matrix, atol=1e-10)
 
+    def test_noisy_qutrit_network_matches_dense_kraus_sum(self):
+        rng = np.random.default_rng(18)
+        n, l = 4, 3
+        net = random_shallow(n, 2, 5, noise=0.2, l=l)
+        rho = states.random_density_state(n, l, rng)
+        expect = rho.matrix
+        for step in net.steps:
+            for ch in step.channels:
+                full = [embed(k, ch.support, n, l) for k in ch.kraus]
+                expect = sum(kf @ expect @ kf.conj().T for kf in full)
+        assert np.allclose(apply(net, rho).matrix, expect, atol=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply(identity_network(3), zeros_density(2))
@@ -114,15 +126,17 @@ class TestApplyDual:
 
     def test_duality_identity_random_triples(self):
         rng = np.random.default_rng(13)
-        for trial in range(100):
-            n = int(rng.integers(2, 5))
-            net = random_shallow(n, int(rng.integers(0, 3)), int(rng.integers(1 << 16)),
-                                 noise=float(rng.choice([0.0, 0.15])))
-            a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-            rho = states.random_density_state(n, 2, rng)
-            lhs = np.trace(apply_dual(net, a) @ rho.matrix)
-            rhs = np.trace(a @ apply(net, rho).matrix)
-            assert abs(lhs - rhs) <= 1e-9
+        for l, trials in ((2, 100), (3, 10)):
+            for trial in range(trials):
+                n = int(rng.integers(2, 5))
+                net = random_shallow(n, int(rng.integers(0, 3)), int(rng.integers(1 << 16)),
+                                     noise=float(rng.choice([0.0, 0.15])), l=l)
+                d = l**n
+                a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                rho = states.random_density_state(n, l, rng)
+                lhs = np.trace(apply_dual(net, a) @ rho.matrix)
+                rhs = np.trace(a @ apply(net, rho).matrix)
+                assert abs(lhs - rhs) <= 1e-9
 
     def test_cnot_dual_of_z_on_target(self):
         # Oracle: direct 4x4 conjugation of the explicitly written CNOT.

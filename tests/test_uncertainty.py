@@ -99,6 +99,29 @@ class TestVariance:
             assert got == pytest.approx(1 / (4 * n), abs=1e-10)
 
 
+class TestSiteBySitePath:
+    def test_matches_dense_averaging_matrix(self):
+        rng = np.random.default_rng(30)
+        for l, n in ((2, 3), (3, 2)):
+            rho = random_density_state(n, l, rng)
+            c = uncertainty.random_site_observable(l, rng)
+            dense = averaging_matrix(c, n)
+            value, b = commutator_witness(dense, rho)
+            for abar in (c, AveragingObservable(c, n)):
+                assert variance(abar, rho) == pytest.approx(variance(dense, rho), abs=1e-12)
+                assert commutator_trace_norm(abar, rho) == pytest.approx(value, abs=1e-12)
+                assert commutator_witness(abar, rho)[0] == pytest.approx(value, abs=1e-12)
+                assert commutator_expectation(rho, abar, b) == pytest.approx(
+                    commutator_expectation(rho, dense, b), abs=1e-12
+                )
+
+    def test_dimension_mismatch_names_both_shapes(self):
+        qutrit = SiteObservable(np.diag([0.5, 0.0, -0.5]))
+        for fn in (variance, commutator_trace_norm):
+            with pytest.raises(ValueError, match=r"\(9, 9\) vs \(8, 8\)"):
+                fn(qutrit, zeros_state(3))
+
+
 class TestCommutatorTraceNorm:
     def test_maximally_mixed_commutes(self):
         for n in (1, 3):
