@@ -241,9 +241,15 @@ def cmd_erho(args) -> int:
         "l": rho.l,
         **result.to_dict(),
     }
+    if args.witness_out:
+        witness = {"dual_b": [[z.real, z.imag] for z in result.dual_b.reshape(-1)]}
+        with open(args.witness_out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(witness, **JSON_KW))
+        report["witness_ref"] = args.witness_out
     if opts["format"] == "csv":
-        flat = {k: report[k] for k in ("n", "l", "e_lower", "variance_bound",
-                                       "restarts_used", "iterations")}
+        columns = ("n", "l", "e_lower", "variance_bound", "restarts_used",
+                   "iterations") + (("witness_ref",) if args.witness_out else ())
+        flat = {k: report[k] for k in columns}
         _emit(_rows_to_csv([flat], list(flat)), args.out)
     else:
         _emit(json.dumps(report, **JSON_KW), args.out)
@@ -460,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     erho.add_argument("--grid-size", type=int, default=None, dest="grid_size")
     erho.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     erho.add_argument("--tol", type=float, default=None)
+    erho.add_argument("--witness-out",
+                      help="also write the d x d witness dual_b (JSON) here")
     _add_common(erho)
     erho.set_defaults(func=cmd_erho)
 

@@ -6,8 +6,9 @@ Values of order 1 mean the state carries quantum uncertainty in a macroscopic
 (mean-field) quantity; separable states stay at order ``1/sqrt(n)``, and a
 depth-k network can raise the value by at most ``2^k``.
 
-``estimate_e`` reports a certified lower bound: every reported value is the
-trace norm actually achieved at the reported maximizer.  For qubits the
+``estimate_e`` reports a certified lower bound: ``e_lower`` is the trace norm
+of the dense ``[abar, rho]`` at the reported maximizer, computed once the
+search has ended, so no shortcut of the search enters it.  For qubits the
 search runs over Bloch directions v, where the functional is
 ``f(v) = ||v . H||_1`` with ``H_p = i[S_p, rho]`` built once per call.  Every
 state obeys the variance ceiling ``f(v) <= 2 sqrt(v^T M v)`` (M the 3x3 spin
@@ -19,7 +20,11 @@ optimal and ends the search with ``iterations = 0``, which is what happens on
 pure states; otherwise a projected subgradient ascent refines the best
 candidate.  For larger local dimensions the search is a projected ascent over
 traceless Hermitian site observables with spectral spread 1, restarted from
-seeded random starts.
+seeded random starts.  It runs on a range factor ``rho = F F^dag`` (r columns,
+from one ``eigh`` per call): ``[abar, rho]`` lives in the span of
+``[F, abar F]``, so its trace norm is the spectrum of a ``min(2r, d)``-square
+matrix, and the subgradient reduces from ``F`` and ``w F`` with no d x d
+product.  Every rank takes this path; low ranks gain the most.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ from .states import DensityState, SeparableInput, density_matrix, mix
 SPREAD_ATOL = 1e-10
 PURITY_ATOL = 1e-8
 DEGENERACY_GAP = 1e-10
+# Eigenvalues of rho at or below this fraction of its largest are left out of
+# the range factor F of the l > 2 search: far below any weight that moves the
+# search, and it drops the slightly negative eigenvalues DensityState admits.
+# The reported e_lower is recomputed densely, so the cutoff never enters it.
+RANGE_CUTOFF = 1e-13
 # Rounding allowance on the variance ceiling of the qubit search: far above
 # the error of the 3x3 covariance and of an eigenvalue sum, far below any
 # tolerance the reports are read at.
@@ -111,17 +121,17 @@ def averaging_matrix(c, n: int) -> np.ndarray:
 
 
 def _abar_times(abar, x: np.ndarray) -> np.ndarray:
-    """``abar @ x``: site by site for a site (averaged over every site of x) or
-    averaging observable, densely for a raw matrix."""
+    """``abar @ x`` for a d x k block x: site by site for a site (averaged over
+    every site of x) or averaging observable, densely for a raw matrix."""
     if isinstance(abar, SiteObservable):
         abar = AveragingObservable(abar, round(math.log(x.shape[0], abar.l)))
     if not isinstance(abar, AveragingObservable):
         a = linalg.require_square(abar)
-        if a.shape != x.shape:
+        if a.shape[1] != x.shape[0]:
             raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
         return a @ x
     l, n = abar.site.l, abar.n
-    if (l**n, l**n) != x.shape:
+    if l**n != x.shape[0]:
         raise ValueError(f"dimension mismatch: {(l**n, l**n)} vs {x.shape}")
     op, t = abar.site.centered(), x.reshape((l,) * n + (-1,))
     out = np.zeros_like(t)
@@ -269,10 +279,11 @@ class MacroUncertaintyReport:
     iterations: int
 
     def to_dict(self) -> dict:
+        """Every field but the d x d ``dual_b``; ``erho --witness-out`` writes that
+        to a file of its own."""
         return {
             "e_lower": self.e_lower,
             "maximizer": [[z.real, z.imag] for z in self.maximizer.matrix.reshape(-1)],
-            "dual_b": [[z.real, z.imag] for z in self.dual_b.reshape(-1)],
             "variance_bound": self.variance_bound,
             "restarts_used": self.restarts_used,
             "iterations": self.iterations,
@@ -283,30 +294,31 @@ def _hermitian_trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _subgradient_sign(eig: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Minimal-norm subgradient factor: sign of the eigenvalues, 0 on the kernel.
+def _subgradient_sign(eig: np.ndarray) -> np.ndarray:
+    """Minimal-norm subgradient weights: sign of the eigenvalues, 0 on the kernel.
 
     Eigenvalues within DEGENERACY_GAP of zero get weight 0, which is a valid
     subgradient element; if the resulting direction fails to improve, the
     backtracking loop stops and the best value found so far stands (the grid
-    fallback).
+    fallback).  The sign factor is ``w = (vec * weights) @ vec^dag``.
     """
     signs = np.sign(eig)
     signs[np.abs(eig) < DEGENERACY_GAP] = 0.0
-    return (vec * signs) @ vec.conj().T
+    return signs
 
 
 def _ascend_bloch(v, best, h, max_iter, tol):
     """Projected subgradient ascent of ``f(v) = ||v . H||_1`` over the Bloch sphere.
 
     ``best`` is f at the start ``v``; the gradient of f is ``tr(w H_p)``
-    with w the sign factor of ``v . H``.
+    with w the sign factor of ``v . H``.  Returns the final direction and
+    the iteration count.
     """
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
         eig, vec = np.linalg.eigh(np.tensordot(v, h, axes=1))
-        w = _subgradient_sign(eig, vec)
+        w = (vec * _subgradient_sign(eig)) @ vec.conj().T
         grad = np.real(np.einsum("ij,pji->p", w, h))
         grad -= np.dot(grad, v) * v
         if np.linalg.norm(grad) < tol:
@@ -324,7 +336,7 @@ def _ascend_bloch(v, best, h, max_iter, tol):
             step /= 2
         if not improved:
             break
-    return v, best, iterations
+    return v, iterations
 
 
 def _estimate_qubit(m, n, grid_size, max_iter, tol):
@@ -354,9 +366,9 @@ def _estimate_qubit(m, n, grid_size, max_iter, tol):
         if value > best:
             best, v0 = value, candidates[idx]
         if best >= ceiling_max - CEILING_SLACK:
-            return SiteObservable.from_bloch(v0), best, 0, var_value
-    v_best, best, iterations = _ascend_bloch(v0, best, h, max_iter, tol)
-    return SiteObservable.from_bloch(v_best), best, iterations, var_value
+            return SiteObservable.from_bloch(v0), 0, var_value
+    v_best, iterations = _ascend_bloch(v0, best, h, max_iter, tol)
+    return SiteObservable.from_bloch(v_best), iterations, var_value
 
 
 def _project_traceless(g: np.ndarray) -> np.ndarray:
@@ -372,30 +384,71 @@ def _normalize_spread(c: np.ndarray) -> np.ndarray:
     return c / spread
 
 
+def _range_factor(m: np.ndarray) -> np.ndarray:
+    """``F = V sqrt(Lambda)`` over the eigenvalues above the cutoff: rho ~ F F^dag."""
+    eig, vec = np.linalg.eigh(m)
+    keep = eig > RANGE_CUTOFF * eig[-1]
+    return vec[:, keep] * np.sqrt(eig[keep])
+
+
+def _commutator_on_range(site, f: np.ndarray):
+    """``(h, q)``: Hermitian h with ``i[abar, rho] = q h q^dag``.
+
+    With ``G = abar F``, ``i[abar, F F^dag] = i(G F^dag - F G^dag)``.  In the
+    span of ``[F, G] = q R`` (reduced QR) it is the k x k matrix
+    ``h = i(R_G R_F^dag - R_F R_G^dag)``, ``k = min(2r, d)``, so its trace norm
+    is the spectrum of h.
+    """
+    r = f.shape[1]
+    q, rr = np.linalg.qr(np.hstack([f, _abar_times(site, f)]))
+    p = rr[:, r:] @ rr[:, :r].conj().T
+    return 1j * (p - p.conj().T), q
+
+
+def _trace_norm_gradient(site, f: np.ndarray, n: int, l: int) -> np.ndarray:
+    """``sum_i tr_{not i} i(rho w - w rho)``, w the sign factor of ``i[abar, rho]``.
+
+    With ``Y = w F``, ``rho w - w rho = F Y^dag - Y F^dag``, and each site's
+    partial trace of ``F Y^dag`` is one contraction of F and Y over every
+    other axis, so no d x d product is formed.
+    """
+    h, q = _commutator_on_range(site, f)
+    eig, vec = np.linalg.eigh(h)
+    vec = q @ vec
+    y = (vec * _subgradient_sign(eig)) @ (vec.conj().T @ f)
+    ft = f.reshape((l,) * n + (-1,))
+    yt = y.conj().reshape((l,) * n + (-1,))
+    grad = np.zeros((l, l), dtype=complex)
+    for i in range(n):
+        others = [a for a in range(n + 1) if a != i]
+        p = np.tensordot(ft, yt, axes=(others, others))
+        grad += 1j * (p - p.conj().T)
+    return grad
+
+
 def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
     rng = np.random.default_rng(seed)
+    f = _range_factor(m)
+
+    def value_at(c):
+        return _hermitian_trace_norm(_commutator_on_range(SiteObservable(c), f)[0])
+
     best_c = None
     best = -1.0
     iterations = 0
     for _ in range(max(restarts, 1)):
         c = random_site_observable(l, rng).matrix
-        value = _hermitian_trace_norm(1j * _commutator(SiteObservable(c), m))
+        value = value_at(c)
         for _ in range(max_iter):
             iterations += 1
-            eig, vec = np.linalg.eigh(1j * _commutator(SiteObservable(c), m))
-            w = _subgradient_sign(eig, vec)
-            lifted = 1j * (m @ w - w @ m)
-            grad = np.zeros((l, l), dtype=complex)
-            for i in range(1, n + 1):
-                grad += linalg.reduce_to_site(lifted, i, n, l)
-            grad = _project_traceless((grad + grad.conj().T) / 2) / n
+            grad = _project_traceless(_trace_norm_gradient(SiteObservable(c), f, n, l)) / n
             if linalg.operator_norm(grad) < tol:
                 break
             step = 1.0
             improved = False
             while step > 1e-7:
                 cand = _normalize_spread(_project_traceless(c + step * grad))
-                val_c = _hermitian_trace_norm(1j * _commutator(SiteObservable(cand), m))
+                val_c = value_at(cand)
                 if val_c > value + 1e-15:
                     c, value = cand, val_c
                     improved = True
@@ -405,7 +458,7 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
                 break
         if value > best:
             best, best_c = value, c
-    return SiteObservable(best_c), best, iterations
+    return SiteObservable(best_c), iterations
 
 
 def estimate_e(
@@ -428,12 +481,15 @@ def estimate_e(
     m = state.matrix
     n, l = state.n, state.l
     if l == 2:
-        site, value, iterations, var_value = _estimate_qubit(m, n, grid_size, max_iter, tol)
+        site, iterations, var_value = _estimate_qubit(m, n, grid_size, max_iter, tol)
         restarts_used = 1
     else:
-        site, value, iterations = _estimate_general(m, n, l, restarts, max_iter, tol, seed)
+        site, iterations = _estimate_general(m, n, l, restarts, max_iter, tol, seed)
         restarts_used = max(restarts, 1)
         var_value = None
+    # The dense trace norm at the maximizer, so no shortcut of the search
+    # (the range factor's cutoff included) enters the reported value.
+    value, witness = commutator_witness(site, m)
     variance_bound = None
     if l == 2 and abs(state.purity() - 1.0) <= PURITY_ATOL:
         variance_bound = 2.0 * math.sqrt(max(var_value, 0.0))
@@ -441,7 +497,6 @@ def estimate_e(
             raise RuntimeError(
                 f"achieved value {value} exceeds the pure-state bound {variance_bound}"
             )
-    _, witness = commutator_witness(site, m)
     return MacroUncertaintyReport(
         e_lower=value,
         maximizer=site,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 from shallownet import states
 from shallownet.cli import main
 from shallownet.dsl import serialize
+from shallownet.linalg import operator_norm
 from shallownet.network import cat_ladder
+from shallownet.uncertainty import AveragingObservable, SiteObservable, commutator_expectation
 
 
 @pytest.fixture()
@@ -14,6 +18,18 @@ def ladder8(tmp_path):
     path = tmp_path / "ladder8.qnet"
     path.write_text(serialize(cat_ladder(3, include_prologue=True)))
     return str(path)
+
+
+@pytest.fixture()
+def qutrit_state_file(tmp_path):
+    rho = states.random_density_state(2, 3, np.random.default_rng(5), rank=2)
+    path = tmp_path / "qutrits.json"
+    path.write_text(states.state_to_json(rho))
+    return str(path)
+
+
+def complex_matrix(pairs, dim):
+    return np.array([complex(re, im) for re, im in pairs]).reshape(dim, dim)
 
 
 @pytest.fixture()
@@ -106,6 +122,37 @@ class TestErho:
         assert code == 0
         assert report["e_lower"] == pytest.approx(1 / np.sqrt(8), abs=1e-4)
         assert report["variance_bound"] == pytest.approx(1 / np.sqrt(8), abs=1e-6)
+
+    def test_default_report_has_no_witness(self, capsys, qutrit_state_file):
+        code, report = run_json(capsys, ["erho", qutrit_state_file])
+        assert code == 0
+        assert "dual_b" not in report
+        assert "witness_ref" not in report
+
+    def test_witness_out_attains_e_lower(self, tmp_path, capsys, qutrit_state_file):
+        witness_path = tmp_path / "witness.json"
+        code, report = run_json(
+            capsys, ["erho", qutrit_state_file, "--witness-out", str(witness_path)]
+        )
+        assert code == 0
+        assert report["witness_ref"] == str(witness_path)
+        b = complex_matrix(json.loads(witness_path.read_text())["dual_b"], 9)
+        assert operator_norm(b) <= 1 + 1e-10
+        with open(qutrit_state_file, encoding="utf-8") as fh:
+            rho = states.state_from_json(fh.read())
+        abar = AveragingObservable(SiteObservable(complex_matrix(report["maximizer"], 3)), 2)
+        assert commutator_expectation(rho, abar, b) == pytest.approx(report["e_lower"], abs=1e-10)
+
+    def test_witness_out_in_csv(self, tmp_path, capsys, qutrit_state_file):
+        witness_path = tmp_path / "witness.json"
+        assert main(["erho", qutrit_state_file, "--format", "csv"]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split(",")
+        assert "witness_ref" not in header
+        argv = ["erho", qutrit_state_file, "--format", "csv", "--witness-out", str(witness_path)]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0]["witness_ref"] == str(witness_path)
+        assert "dual_b" in json.loads(witness_path.read_text())
 
 
     @pytest.mark.parametrize("doc, field", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shallownet import states, uncertainty
-from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm
+from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm, reduce_to_site
 from shallownet.network import apply_pure, cat_ladder, identity_network, random_shallow
 from shallownet.states import (
     SeparableInput,
@@ -120,6 +120,49 @@ class TestSiteBySitePath:
         for fn in (variance, commutator_trace_norm):
             with pytest.raises(ValueError, match=r"\(9, 9\) vs \(8, 8\)"):
                 fn(qutrit, zeros_state(3))
+
+
+class TestRangeFactor:
+    """The l > 2 search evaluates i[abar, rho] on the span of [F, abar F]."""
+
+    @pytest.mark.parametrize("n, l, rank", [
+        (3, 2, 1), (3, 2, 2), (3, 2, 4), (2, 3, 1), (2, 3, 2), (2, 3, 5),
+    ])
+    def test_factored_matches_dense(self, n, l, rank):
+        rng = np.random.default_rng(40 + 10 * l + rank)
+        m = random_density_state(n, l, rng, rank=rank).matrix
+        site = uncertainty.random_site_observable(l, rng)
+        f = uncertainty._range_factor(m)
+        assert f.shape == (l**n, rank)
+        a = averaging_matrix(site, n)
+        h, q = uncertainty._commutator_on_range(site, f)
+        assert h.shape == (min(2 * rank, l**n),) * 2
+        dense = 1j * (a @ m - m @ a)
+        assert np.max(np.abs(q @ h @ q.conj().T - dense)) <= 1e-12
+        eig, vec = np.linalg.eigh(dense)
+        assert np.sum(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(
+            np.sum(np.abs(eig)), abs=1e-12
+        )
+        w = (vec * uncertainty._subgradient_sign(eig)) @ vec.conj().T
+        lifted = 1j * (m @ w - w @ m)
+        dense_grad = sum(reduce_to_site(lifted, i, n, l) for i in range(1, n + 1))
+        grad = uncertainty._trace_norm_gradient(site, f, n, l)
+        assert np.max(np.abs(grad - dense_grad)) <= 1e-12
+
+    def test_cutoff_drops_small_negative_eigenvalue(self):
+        rng = np.random.default_rng(47)
+        n, l = 2, 3
+        base = random_density_state(n, l, rng, rank=2).matrix
+        kernel = np.linalg.eigh(base)[1][:, 0]
+        rho = states.DensityState(n, l, base - 1e-11 * np.outer(kernel, kernel.conj()))
+        assert np.linalg.eigvalsh(rho.matrix)[0] < -5e-12
+        f = uncertainty._range_factor(rho.matrix)
+        assert f.shape[1] == 2
+        report = estimate_e(rho, restarts=2, seed=3)
+        dense = commutator_trace_norm(averaging_matrix(report.maximizer, n), rho)
+        assert report.e_lower == pytest.approx(dense, abs=1e-12)
+        h, _ = uncertainty._commutator_on_range(report.maximizer, f)
+        assert np.sum(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(dense, abs=1e-10)
 
 
 class TestCommutatorTraceNorm:
@@ -244,11 +287,15 @@ class TestEstimate:
         assert np.array_equal(a.maximizer.matrix, b.maximizer.matrix)
 
     def test_achieved_value_is_certified(self):
+        # Full-rank qubits, full-rank qutrits (2r > d on the range factor) and
+        # rank 3 on 4 qutrits (2r < d).
         rng = np.random.default_rng(23)
-        rho = random_density_state(3, 2, rng)
-        report = estimate_e(rho)
-        direct = commutator_trace_norm(averaging_matrix(report.maximizer, 3), rho)
-        assert direct == pytest.approx(report.e_lower, abs=1e-10)
+        for n, l, rank in ((3, 2, None), (2, 3, None), (4, 3, 3)):
+            rho = random_density_state(n, l, rng, rank=rank)
+            report = estimate_e(rho)
+            abar = averaging_matrix(report.maximizer, n)
+            assert commutator_trace_norm(abar, rho) == pytest.approx(report.e_lower, abs=1e-12)
+            assert report.e_lower <= 2 * np.sqrt(variance(abar, rho)) + 1e-12
 
     def test_qutrit_path(self):
         rng = np.random.default_rng(24)
