@@ -75,6 +75,7 @@ from .measurement import (
     conjugated_strong_measure_exact,
     is_product_projection,
     projection_bound,
+    sample_outcome,
     spectral_decompose,
     strong_measure,
     strong_measure_exact,

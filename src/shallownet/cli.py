@@ -365,40 +365,34 @@ def _measure_records(args, opts) -> list:
         raise ValueError("conjugated mode measures parity-x; observable mismatch")
 
     pauli = SIGMA_X if observable == "parity-x" else SIGMA_Z
-    parity = measurement.spectral_decompose(tensor(*([pauli] * n))) if mode == "strong" else None
 
     def exact_outcomes():
         if mode == "weak":
             return measurement.weak_measure_product_exact(rho, [pauli] * n)
         if mode == "strong":
+            parity = measurement.spectral_decompose(tensor(*([pauli] * n)))
             return measurement.strong_measure_exact(rho, parity)
         return measurement.conjugated_strong_measure_exact(
             rho, measurement.build_parity_conjugator(n)
         )
 
-    records = []
+    def record(o, seed) -> dict:
+        value = o.combined_value if isinstance(o, measurement.WeakOutcome) else o.value
+        return {"value": value, "probability": o.probability, "seed": seed, "post": o.post_state}
+
     if opts["exact"]:
-        for o in exact_outcomes():
-            value = o.combined_value if isinstance(o, measurement.WeakOutcome) else o.value
-            records.append({"value": value, "probability": o.probability,
-                            "seed": None, "post": o.post_state})
-    else:
-        for shot in range(opts["shots"]):
-            sub = sweeps.trial_seed(opts["seed"], shot)
-            rng = np.random.default_rng(sub)
-            if mode == "weak":
-                o = measurement.weak_measure_product(rho, [pauli] * n, rng=rng)
-                value = o.combined_value
-            elif mode == "strong":
-                o = measurement.strong_measure(rho, parity, rng)
-                value = o.value
-            else:
-                o = measurement.conjugated_strong_measure(
-                    rho, measurement.build_parity_conjugator(n), rng
-                )
-                value = o.value
-            records.append({"value": value, "probability": o.probability,
-                            "seed": sub, "post": o.post_state})
+        return [record(o, None) for o in exact_outcomes()]
+    # weak shots walk one branch each: the exact weak list has up to 2^n records
+    outcomes = exact_outcomes() if mode != "weak" and opts["shots"] else None
+    records = []
+    for shot in range(opts["shots"]):
+        sub = sweeps.trial_seed(opts["seed"], shot)
+        rng = np.random.default_rng(sub)
+        if outcomes is None:
+            o = measurement.weak_measure_product(rho, [pauli] * n, rng=rng)
+        else:
+            o = measurement.sample_outcome(outcomes, rng)
+        records.append(record(o, sub))
     return records
 
 
@@ -410,6 +404,8 @@ def cmd_measure(args) -> int:
         "seed": (int, 0),
         "input": (str, "zeros"),
     })
+    if opts["shots"] < 0:
+        raise ValueError(f"--shots must be at least 0, got {opts['shots']}")
     opts["exact"] = bool(args.exact)
     records = _measure_records(args, opts)
     lines = []

@@ -8,8 +8,11 @@ highly degenerate) spectral eigenspaces, which can leave macroscopic
 superpositions intact -- the two procedures pull the post-state in opposite
 directions, and the tests pin that contrast down quantitatively.
 
-Sampling routines take an explicit numpy Generator and are deterministic
-given it; every sampled procedure has an exact-distribution twin for tests.
+Every procedure has an exact twin listing each outcome with its probability
+and post state.  The strong and conjugated samplers draw from their twin
+(``sample_outcome``); the weak sampler walks one branch site by site, since
+its twin has up to l^n leaves.  Samplers take an explicit numpy Generator
+and are deterministic given it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .linalg import SIGMA_X
 from .network import (
     CNOT, LocalChannel, Network, Step, _conjugate_by_channels, apply, apply_dual, invert_unitary,
 )
-from .states import DensityState
+from .states import DensityState, to_density
 from .uncertainty import SiteObservable, _commutator
 
 PROJECTOR_ATOL = 1e-10
@@ -115,12 +118,12 @@ def _sites_of(dim: int, l: int) -> int:
 
 def strong_measure_exact(rho, dec: SpectralDecomposition) -> list:
     """Full outcome distribution with projected post states."""
-    state = rho if isinstance(rho, DensityState) else rho.density()
+    state = to_density(rho)
     if state.dim != dec.dim:
         raise ValueError(f"state dimension {state.dim} vs decomposition {dec.dim}")
     outcomes = []
     for value, proj in zip(dec.eigenvalues, dec.projectors):
-        p = float(np.real(np.trace(proj @ state.matrix)))
+        p = float(np.vdot(proj, state.matrix).real)
         if p <= PROBABILITY_FLOOR:
             continue
         post = proj @ state.matrix @ proj / p
@@ -130,12 +133,15 @@ def strong_measure_exact(rho, dec: SpectralDecomposition) -> list:
     return outcomes
 
 
+def sample_outcome(outcomes: list, rng: np.random.Generator):
+    """Draw one record of an exact outcome list, weighted by its probability."""
+    probs = np.array([o.probability for o in outcomes])
+    return outcomes[int(rng.choice(len(outcomes), p=probs / probs.sum()))]
+
+
 def strong_measure(rho, dec: SpectralDecomposition, rng: np.random.Generator) -> MeasurementOutcome:
     """Sample one projective outcome; deterministic given the generator."""
-    outcomes = strong_measure_exact(rho, dec)
-    probs = np.array([o.probability for o in outcomes])
-    idx = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    return outcomes[idx]
+    return sample_outcome(strong_measure_exact(rho, dec), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ class WeakOutcome:
 
 def _weak_setup(rho, site_observables, post_fn):
     """The state, each site's spectral decomposition, and an outcome-record builder."""
-    state = rho if isinstance(rho, DensityState) else rho.density()
+    state = to_density(rho)
     decs = [spectral_decompose(linalg.require_hermitian(a)) for a in site_observables]
     if len(decs) != state.n:
         raise ValueError(f"need {state.n} site observables, got {len(decs)}")
@@ -309,40 +315,34 @@ def build_parity_conjugator(n: int) -> Network:
     return Network(n, 2, steps)
 
 
-def _conjugated_outcomes(rho, conjugator: Network):
-    state = rho if isinstance(rho, DensityState) else rho.density()
-    if (state.n, state.l) != (conjugator.n, conjugator.l):
-        raise ValueError("state and conjugator disagree on system shape")
-    if not conjugator.is_unitary():
-        raise ValueError("conjugator network must be unitary")
-    n = state.n
-    rotated = apply(invert_unitary(conjugator), state)
-    x_last = linalg.embed(SIGMA_X, [n], n, 2)
-    eye = np.eye(2**n, dtype=complex)
-    dec = SpectralDecomposition((-1.0, 1.0), ((eye - x_last) / 2, (eye + x_last) / 2))
-    outcomes = strong_measure_exact(rotated, dec)
-    return [
-        MeasurementOutcome(o.value, o.probability, apply(conjugator, o.post_state))
-        for o in outcomes
-    ]
-
-
 def conjugated_strong_measure_exact(rho, conjugator: Network) -> list:
     """Measure x-parity projectively through the conjugating network.
 
     Rotates into the frame where the parity is a single-site observable
-    (adjoint direction of the conjugator), measures sigma_x on the last site,
-    and rotates back; the outcome law equals direct strong measurement of the
-    parity observable.
+    (adjoint direction of the conjugator), collapses the last site onto each
+    eigenspace of sigma_x, and rotates back; the outcome law equals direct
+    strong measurement of the parity observable.
     """
-    return _conjugated_outcomes(rho, conjugator)
+    state = to_density(rho)
+    if (state.n, state.l) != (conjugator.n, conjugator.l) or state.l != 2:
+        raise ValueError("state and conjugator must be qubit systems of one shape")
+    if not conjugator.is_unitary():
+        raise ValueError("conjugator network must be unitary")
+    n = state.n
+    rotated = apply(invert_unitary(conjugator), state).matrix
+    outcomes = []
+    for value in (-1.0, 1.0):
+        q = (np.eye(2) + value * SIGMA_X) / 2
+        m = _conjugate_by_channels(rotated, [((n,), [q])], n, 2)
+        p = float(np.real(np.trace(m)))
+        if p > PROBABILITY_FLOOR:
+            post = apply(conjugator, DensityState(n, 2, m / p))
+            outcomes.append(MeasurementOutcome(value, p, post))
+    return outcomes
 
 
 def conjugated_strong_measure(rho, conjugator: Network, rng: np.random.Generator) -> MeasurementOutcome:
-    outcomes = _conjugated_outcomes(rho, conjugator)
-    probs = np.array([o.probability for o in outcomes])
-    idx = int(rng.choice(len(outcomes), p=probs / probs.sum()))
-    return outcomes[idx]
+    return sample_outcome(conjugated_strong_measure_exact(rho, conjugator), rng)
 
 
 # ---------------------------------------------------------------------------

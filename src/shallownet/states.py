@@ -83,7 +83,8 @@ class DensityState:
         return self.l**self.n
 
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """tr(rho^2), as the sum of |m_ij|^2 since the matrix is Hermitian."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,10 @@ from .uncertainty import check_uncertainty_bound, random_site_observable
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Sweep parameters; identical configs produce identical reports."""
+    """Sweep parameters; identical configs produce identical reports.
+
+    A malformed grid or trial count raises a ValueError naming the field.
+    """
 
     seed: int = 0
     trials: int = 200
@@ -29,6 +32,14 @@ class RunConfig:
     k_values: tuple = (0, 1, 2)
     noise: float = 0.05
     tol: float = 1e-8
+
+    def __post_init__(self):
+        if not self.n_values or min(self.n_values) < 1:
+            raise ValueError(f"n_values must be non-empty with every n >= 1, got {list(self.n_values)}")
+        if not self.k_values or min(self.k_values) < 0:
+            raise ValueError(f"k_values must be non-empty with every k >= 0, got {list(self.k_values)}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be at least 0, got {self.trials}")
 
     def to_dict(self) -> dict:
         return {

@@ -37,7 +37,7 @@ import numpy as np
 from . import linalg
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .network import Network, apply
-from .states import DensityState, SeparableInput, density_matrix, mix
+from .states import SeparableInput, density_matrix, mix, to_density
 
 SPREAD_ATOL = 1e-10
 PURITY_ATOL = 1e-8
@@ -477,7 +477,7 @@ def estimate_e(
     equals that bound on pure states, so the qubit search certifies it and
     reports ``iterations = 0``).
     """
-    state = rho if isinstance(rho, DensityState) else rho.density()
+    state = to_density(rho)
     m = state.matrix
     n, l = state.n, state.l
     if l == 2:

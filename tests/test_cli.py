@@ -8,8 +8,12 @@ import pytest
 from shallownet import states
 from shallownet.cli import main
 from shallownet.dsl import serialize
-from shallownet.linalg import operator_norm
+from shallownet.linalg import SIGMA_X, operator_norm, tensor
+from shallownet.measurement import (
+    build_parity_conjugator, conjugated_strong_measure, spectral_decompose, strong_measure,
+)
 from shallownet.network import cat_ladder
+from shallownet.sweeps import trial_seed
 from shallownet.uncertainty import AveragingObservable, SiteObservable, commutator_expectation
 
 
@@ -235,6 +239,18 @@ class TestVerify:
         )
         assert len(report["rows"]) == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--n-list", ""], "n_values"),
+        (["--n-list", "0"], "n_values"),
+        (["--n-list", "1", "--k-list", "-1"], "k_values"),
+        (["--trials", "-3"], "trials"),
+    ])
+    def test_malformed_config_exits_2(self, capsys, flags, field):
+        assert main(["verify", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+
 
 class TestLightcone:
     def test_ladder_report(self, capsys, ladder8):
@@ -318,6 +334,31 @@ class TestMeasure:
                 (tmp_path / "posts" / r["post_state_ref"].split("/")[-1]).read_text()
             )
             assert loaded.n == 8
+
+    def test_negative_shots_exit_2(self, capsys, ladder8):
+        assert main(["measure", "--circuit", ladder8, "--shots", "-2"]) == 2
+        assert "--shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["strong", "conjugated"])
+    def test_shots_equal_per_shot_sampler_calls(self, capsys, tmp_path, mode):
+        rho = states.random_density_state(3, 2, np.random.default_rng(12), rank=2)
+        state_file = tmp_path / "rho.json"
+        state_file.write_text(states.state_to_json(rho))
+        posts = tmp_path / "posts"
+        code = main(["measure", str(state_file), "--mode", mode, "--shots", "5", "--seed", "7",
+                     "--states-dir", str(posts)])
+        assert code == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 5
+        for shot, r in enumerate(records):
+            rng = np.random.default_rng(trial_seed(7, shot))
+            if mode == "strong":
+                o = strong_measure(rho, spectral_decompose(tensor(*([SIGMA_X] * 3))), rng)
+            else:
+                o = conjugated_strong_measure(rho, build_parity_conjugator(3), rng)
+            assert (r["value"], r["probability"], r["seed"]) == (o.value, o.probability, trial_seed(7, shot))
+            assert (posts / f"outcome_{shot}.json").read_text() == states.state_to_json(o.post_state)
+        assert len({r["value"] for r in records}) == 2
 
     def test_mode_observable_mismatch(self, capsys, ladder8):
         code = main(["measure", "--circuit", ladder8, "--mode", "conjugated",

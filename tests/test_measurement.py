@@ -235,12 +235,13 @@ class TestParityConjugator:
 
 
 class TestConjugatedMeasurement:
-    @pytest.mark.parametrize("n", [1, 2, 4])
-    def test_same_law_as_direct_strong(self, n):
-        rng = np.random.default_rng(35)
-        rho = states.random_density_state(n, 2, rng)
-        direct = strong_measure_exact(rho, parity_x_decomposition(n))
-        via = conjugated_strong_measure_exact(rho, build_parity_conjugator(n))
+    @pytest.mark.parametrize("rho", [
+        *(states.random_density_state(n, 2, np.random.default_rng(35)) for n in (1, 2, 4)),
+        product_state([PLUS, KET0, PLUS]),
+    ], ids=["1", "2", "4", "plus-zero-plus"])
+    def test_same_law_as_direct_strong(self, rho):
+        direct = strong_measure_exact(rho, parity_x_decomposition(rho.n))
+        via = conjugated_strong_measure_exact(rho, build_parity_conjugator(rho.n))
         assert len(direct) == len(via)
         for d, v in zip(direct, via):
             assert d.value == v.value
