@@ -13,22 +13,32 @@ and post state.  The strong and conjugated samplers draw from their twin
 (``sample_outcome``); the weak sampler walks one branch site by site, since
 its twin has up to l^n leaves.  Samplers take an explicit numpy Generator
 and are deterministic given it.
+
+The measurement depth bound ``||[abar, A*(P)]|| <= 2^k / sqrt(2n)`` is checked
+on the range of the propagated projection, never on a d x d operand: a
+product projection of rank r is ``P = Q Q^dag`` with Q a Kronecker product
+of per-site isometries, the inverse network's gates act on the d x r block
+to give ``W = U^dag Q`` (so ``A*(P) = W W^dag``), and the commutator norm is
+the spectrum of a ``min(2r, d)``-square matrix; r = 0 gives 0.  A random
+product projection has r = 1, so a sweep-2 row costs one state vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import linalg
 from .linalg import SIGMA_X
 from .network import (
-    CNOT, LocalChannel, Network, Step, _conjugate_by_channels, apply, apply_dual, invert_unitary,
+    CNOT, LocalChannel, Network, Step, _apply_unitary_block, _conjugate_by_channels, apply,
+    invert_unitary,
 )
 from .states import DensityState, to_density
-from .uncertainty import SiteObservable, _commutator
+from .uncertainty import SiteObservable, _commutator_on_range
 
 PROJECTOR_ATOL = 1e-10
 PROBABILITY_FLOOR = 1e-12
@@ -240,8 +250,13 @@ class ProductProjection:
         factors = tuple(np.array(f, dtype=complex) for f in self.factors)
         if not factors:
             raise ValueError("need at least one factor")
-        for f in factors:
+        for i, f in enumerate(factors):
             linalg.require_hermitian(f, atol=PROJECTOR_ATOL)
+            if f.shape != factors[0].shape:
+                raise ValueError(
+                    f"factor {i} is {f.shape[0]}x{f.shape[1]}, "
+                    f"but factor 0 is {factors[0].shape[0]}x{factors[0].shape[1]}"
+                )
             if not np.allclose(f @ f, f, atol=PROJECTOR_ATOL, rtol=0.0):
                 raise ValueError("factor is not idempotent")
             f.setflags(write=False)
@@ -373,12 +388,25 @@ def check_projection_commutator_bound(
     tol: float = 1e-8,
 ) -> ProjectionBoundCheck:
     """Propagate a product projection through a unitary network and bound its
-    commutator with every averaging observable built from ``c``."""
+    commutator with the averaging observable built from ``c``.
+
+    The projection is ``P = Q Q^dag`` with ``Q = tensor Q_i`` (d x r), where
+    ``Q_i`` holds the eigenvectors of factor i with eigenvalue above 1/2.  The
+    inverse network's gates act on the columns of Q, giving ``W = U^dag Q`` and
+    ``A*(P) = W W^dag``.  ``i[abar, W W^dag]`` lives in the span of
+    ``[W, abar W]``, so its operator norm is the largest eigenvalue magnitude
+    of a ``min(2r, d)``-square matrix (``_commutator_on_range``); r = 0 gives 0.
+    """
     if not net.is_unitary():
         raise ValueError("the measurement depth bound applies to unitary networks only")
     if (projection.n, projection.l) != (net.n, net.l):
         raise ValueError("projection and network disagree on system shape")
-    propagated = apply_dual(net, projection.matrix())
-    lhs = linalg.operator_norm(1j * _commutator(c, propagated))
+    blocks = []
+    for f in projection.factors:
+        eig, vec = np.linalg.eigh(f)
+        blocks.append(vec[:, eig > 0.5])
+    w = _apply_unitary_block(invert_unitary(net), reduce(np.kron, blocks))
+    h, _ = _commutator_on_range(c, w)
+    lhs = float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
     bound = projection_bound(net.n, net.depth)
     return ProjectionBoundCheck(lhs=lhs, bound=bound, passed=lhs <= bound + tol)

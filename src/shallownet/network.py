@@ -204,17 +204,26 @@ def apply(net: Network, rho: DensityState) -> DensityState:
     return DensityState(net.n, net.l, _conjugate_by_channels(rho.matrix, families, net.n, net.l))
 
 
+def _apply_unitary_block(net: Network, x: np.ndarray) -> np.ndarray:
+    """``U x`` for a unitary network U and a length-d vector or d x r block x.
+
+    The gates act on the first n axes of x reshaped to ``(l,)*n`` plus its
+    trailing axes, so every column moves at once and no d x d matrix forms.
+    """
+    t = x.reshape((net.l,) * net.n + x.shape[1:])
+    for step in net.steps:
+        for ch in step.channels:
+            t = linalg.act_local(ch.kraus[0], [s - 1 for s in ch.support], t, net.l)
+    return t.reshape(x.shape)
+
+
 def apply_pure(net: Network, psi: PureState) -> PureState:
     """Fast path for unitary networks acting on a pure state."""
     if not net.is_unitary():
         raise ValueError("pure-state application requires a unitary network")
     if (psi.n, psi.l) != (net.n, net.l):
         raise ValueError(f"state is ({psi.n}, {psi.l}) but network is ({net.n}, {net.l})")
-    t = psi.amplitudes.reshape((net.l,) * net.n)
-    for step in net.steps:
-        for ch in step.channels:
-            t = linalg.act_local(ch.kraus[0], [s - 1 for s in ch.support], t, net.l)
-    return PureState(net.n, net.l, t.reshape(-1))
+    return PureState(net.n, net.l, _apply_unitary_block(net, psi.amplitudes))
 
 
 def apply_dual(net: Network, a: np.ndarray) -> np.ndarray:

@@ -412,7 +412,11 @@ def _trace_norm_gradient(site, f: np.ndarray, n: int, l: int) -> np.ndarray:
     partial trace of ``F Y^dag`` is one contraction of F and Y over every
     other axis, so no d x d product is formed.
     """
-    h, q = _commutator_on_range(site, f)
+    return _gradient_on_range(*_commutator_on_range(site, f), f, n, l)
+
+
+def _gradient_on_range(h: np.ndarray, q: np.ndarray, f: np.ndarray, n: int, l: int) -> np.ndarray:
+    """``_trace_norm_gradient`` from ``(h, q) = _commutator_on_range(site, f)``."""
     eig, vec = np.linalg.eigh(h)
     vec = q @ vec
     y = (vec * _subgradient_sign(eig)) @ (vec.conj().T @ f)
@@ -430,27 +434,29 @@ def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
     rng = np.random.default_rng(seed)
     f = _range_factor(m)
 
-    def value_at(c):
-        return _hermitian_trace_norm(_commutator_on_range(SiteObservable(c), f)[0])
+    def evaluate(c):
+        """The trace norm at c and the ``(h, q)`` it came from, kept for the gradient."""
+        h, q = _commutator_on_range(SiteObservable(c), f)
+        return _hermitian_trace_norm(h), (h, q)
 
     best_c = None
     best = -1.0
     iterations = 0
     for _ in range(max(restarts, 1)):
         c = random_site_observable(l, rng).matrix
-        value = value_at(c)
+        value, range_pair = evaluate(c)
         for _ in range(max_iter):
             iterations += 1
-            grad = _project_traceless(_trace_norm_gradient(SiteObservable(c), f, n, l)) / n
+            grad = _project_traceless(_gradient_on_range(*range_pair, f, n, l)) / n
             if linalg.operator_norm(grad) < tol:
                 break
             step = 1.0
             improved = False
             while step > 1e-7:
                 cand = _normalize_spread(_project_traceless(c + step * grad))
-                val_c = value_at(cand)
+                val_c, pair_c = evaluate(cand)
                 if val_c > value + 1e-15:
-                    c, value = cand, val_c
+                    c, value, range_pair = cand, val_c, pair_c
                     improved = True
                     break
                 step /= 2

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 
@@ -10,11 +11,14 @@ from shallownet.cli import main
 from shallownet.dsl import serialize
 from shallownet.linalg import SIGMA_X, operator_norm, tensor
 from shallownet.measurement import (
-    build_parity_conjugator, conjugated_strong_measure, spectral_decompose, strong_measure,
+    build_parity_conjugator, conjugated_strong_measure, random_product_projection,
+    spectral_decompose, strong_measure,
 )
-from shallownet.network import cat_ladder
+from shallownet.network import apply_pure, cat_ladder, invert_unitary, random_shallow
 from shallownet.sweeps import trial_seed
-from shallownet.uncertainty import AveragingObservable, SiteObservable, commutator_expectation
+from shallownet.uncertainty import (
+    AveragingObservable, SiteObservable, commutator_expectation, random_site_observable,
+)
 
 
 @pytest.fixture()
@@ -212,6 +216,27 @@ class TestVerify:
         code, report = run_json(capsys, ["verify", "2", "--trials", "6", "--seed", "3"])
         assert code == 0
         assert report["all_pass"] is True
+
+    def test_sweep_two_reaches_n16(self, capsys):
+        code, report = run_json(
+            capsys, ["verify", "2", "--n-list", "16", "--k-list", "2", "--trials", "1"]
+        )
+        assert code == 0
+        (row,) = report["rows"]
+        # the row's draws, in the order projection_bound_sweep makes them
+        rng = np.random.default_rng(row["seed"])
+        net = random_shallow(16, 2, rng, noise=0.0)
+        projection = random_product_projection(16, 2, rng)
+        c = random_site_observable(2, rng).centered()
+        # a rank-one P = |psi><psi| propagates to |phi><phi| with phi = U^dag psi,
+        # and ||[abar, |phi><phi|]|| = sqrt(Var_phi(abar))
+        psi = functools.reduce(np.kron, [np.linalg.eigh(f)[1][:, -1] for f in projection.factors])
+        phi = apply_pure(invert_unitary(net), states.PureState(16, 2, psi)).amplitudes
+        t = phi.reshape((2,) * 16)
+        a_phi = sum(np.moveaxis(np.tensordot(c, t, axes=(1, i)), 0, i) for i in range(16))
+        a_phi = a_phi.reshape(-1) / 16
+        mean = np.vdot(phi, a_phi).real
+        assert row["lhs"] == pytest.approx(np.sqrt(np.vdot(a_phi, a_phi).real - mean**2), abs=1e-12)
 
     def test_zero_trials_empty_report(self, capsys):
         code, report = run_json(capsys, ["verify", "1", "--trials", "0"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shallownet import measurement, states, uncertainty
+from shallownet import linalg, measurement, network, states, uncertainty
 from shallownet.linalg import SIGMA_X, SIGMA_Z, embed, tensor
 from shallownet.measurement import (
     MeasurementOutcome,
@@ -32,6 +32,7 @@ from shallownet.states import (
     product_state,
     to_density,
 )
+from shallownet.sweeps import RunConfig, projection_bound_sweep
 from shallownet.uncertainty import SiteObservable, averaging_matrix, estimate_e
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -214,6 +215,10 @@ class TestProductProjection:
         with pytest.raises(ValueError):
             is_product_projection(0.5 * np.eye(4), 2)
 
+    def test_rejects_mixed_factor_sizes(self):
+        with pytest.raises(ValueError, match="factor 1 is 3x3, but factor 0 is 2x2"):
+            ProductProjection((np.eye(2), np.eye(3)))
+
 
 class TestParityConjugator:
     def test_single_site_is_empty(self):
@@ -317,6 +322,57 @@ class TestProjectionBoundCheck:
                 random_product_projection(4, 2, rng),
                 SiteObservable(np.diag([0.5, -0.5]).astype(complex)),
             )
+
+    @staticmethod
+    def dense_lhs(net, projection, c):
+        """The reference: ||i[abar, A*(P)]|| from dense l^n x l^n matrices."""
+        propagated = apply_dual(net, projection.matrix())
+        return linalg.operator_norm(1j * linalg.commutator(averaging_matrix(c, net.n), propagated))
+
+    def test_sweep_rows_match_dense(self):
+        config = RunConfig(seed=38, trials=36, n_values=(4, 6, 8), k_values=(0, 1, 2))
+        rows = projection_bound_sweep(config)
+        assert len(rows) == 36
+        for row in rows:
+            # the draws of projection_bound_sweep, in its order
+            rng = np.random.default_rng(row["seed"])
+            net = random_shallow(row["n"], row["k"], rng, noise=0.0)
+            projection = random_product_projection(row["n"], 2, rng)
+            c = uncertainty.random_site_observable(2, rng)
+            assert abs(row["lhs"] - self.dense_lhs(net, projection, c)) <= 1e-12
+
+    @pytest.mark.parametrize("n, k, l, ranks", [
+        (4, 2, 2, (0, 0, 0, 0)),
+        (4, 2, 2, (0, 1, 2, 1)),
+        (5, 1, 2, (2, 1, 2, 2, 1)),
+        (6, 2, 2, (1, 2, 1, 1, 2, 2)),
+        (4, 1, 2, (2, 2, 2, 2)),
+        (3, 2, 3, (1, 2, 3)),
+    ])
+    def test_mixed_rank_factors_match_dense(self, n, k, l, ranks):
+        rng = np.random.default_rng(39)
+        factors = []
+        for rank in ranks:
+            basis = np.linalg.qr(rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l)))[0]
+            factors.append(basis[:, :rank] @ basis[:, :rank].conj().T)
+        projection = ProductProjection(tuple(factors))
+        net = random_shallow(n, k, rng, l=l)
+        c = uncertainty.random_site_observable(l, rng)
+        check = check_projection_commutator_bound(net, projection, c)
+        assert abs(check.lhs - self.dense_lhs(net, projection, c)) <= 1e-12
+        if 0 in ranks:
+            assert check.lhs == 0.0
+
+    def test_no_dense_operand(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense path called")
+
+        monkeypatch.setattr(network, "apply_dual", forbidden)
+        monkeypatch.setattr(measurement, "apply_dual", forbidden, raising=False)
+        monkeypatch.setattr(ProductProjection, "matrix", forbidden)
+        rows = projection_bound_sweep(RunConfig(seed=41, trials=12, n_values=(4, 6, 8, 10),
+                                                k_values=(0, 1, 2)))
+        assert all(row["pass"] for row in rows)
 
     def test_random_sweep_sample(self):
         rng = np.random.default_rng(37)
