@@ -288,6 +288,14 @@ def cmd_verify(args) -> int:
             "all_pass": all_pass,
         }
         _emit(json.dumps(report, **JSON_KW), args.out)
+    if which == 1:
+        searched = sum(1 for r in rows if r["pass"] and r["e_upper"] > r["bound"] + config.tol)
+        if searched:
+            print(
+                f"note: {searched} passing row(s) not certified: e_upper exceeds the bound, "
+                f"and the search found no counterexample",
+                file=sys.stderr,
+            )
     if not all_pass:
         bad = [r for r in rows if not r["pass"]]
         print(

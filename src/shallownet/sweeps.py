@@ -23,7 +23,8 @@ from .uncertainty import check_uncertainty_bound, random_site_observable
 class RunConfig:
     """Sweep parameters; identical configs produce identical reports.
 
-    A malformed grid or trial count raises a ValueError naming the field.
+    A malformed grid, trial count, noise strength or tolerance raises a
+    ValueError naming the field.
     """
 
     seed: int = 0
@@ -40,6 +41,11 @@ class RunConfig:
             raise ValueError(f"k_values must be non-empty with every k >= 0, got {list(self.k_values)}")
         if self.trials < 0:
             raise ValueError(f"trials must be at least 0, got {self.trials}")
+        # written so that NaN fails too
+        if not 0.0 <= self.noise <= 1.0:
+            raise ValueError(f"noise must lie in [0, 1], got {self.noise}")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be at least 0, got {self.tol}")
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +72,15 @@ def _trial_grid(config: RunConfig):
 
 
 def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
-    """Depth-bound rows for prepared states: e_lower vs sqrt(2/n) 2^k."""
+    """Depth-bound rows for prepared states: the functional vs sqrt(2/n) 2^k.
+
+    Each row carries ``lhs``, a lower bound on the functional at the output
+    state, and ``e_upper``, the variance ceiling above it.  A row with
+    ``e_upper <= bound + tol`` passes with a certificate and ``lhs`` is the
+    value at the top-variance direction; any other row passes only if the
+    search's ``lhs`` stays within the bound, which means no counterexample
+    was found.  See ``uncertainty.check_uncertainty_bound``.
+    """
     rows = []
     for trial, n, k in _trial_grid(config):
         sub = trial_seed(config.seed, trial)
@@ -83,6 +97,7 @@ def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
                 "k": k,
                 "noise": noise,
                 "lhs": check.e_lower,
+                "e_upper": check.e_upper,
                 "bound": check.bound,
                 "pass": bool(check.passed),
             }

@@ -25,6 +25,15 @@ from one ``eigh`` per call): ``[abar, rho]`` lives in the span of
 ``[F, abar F]``, so its trace norm is the spectrum of a ``min(2r, d)``-square
 matrix, and the subgradient reduces from ``F`` and ``w F`` with no d x d
 product.  Every rank takes this path; low ranks gain the most.
+
+``check_uncertainty_bound`` tests the depth bound on a network's output and
+runs the search only when it must.  For qubits the variance ceiling
+``e_upper = 2 sqrt(lambda_max(M))`` bounds the functional from above on every
+state, pure or mixed, so a row with ``e_upper <= bound + tol`` is certified
+to pass from one 3x3 eigenproblem, and its ``e_lower`` is the trace norm at
+the top-variance direction.  Only a row the ceiling cannot settle (and every
+l > 2 row) goes to ``estimate_e``, whose lower bound can refute the bound but
+cannot certify it.
 """
 
 from __future__ import annotations
@@ -524,10 +533,19 @@ def uncertainty_bound(n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class UncertaintyBoundCheck:
+    """One row of the depth-bound check.
+
+    ``e_lower`` is a lower bound on the functional at the output state and
+    ``e_upper`` (qubits only) the certified ceiling ``2 sqrt(lambda_max(M))``.
+    ``report`` is the search's report, or None when the ceiling settled the
+    row and no search ran.
+    """
+
     e_lower: float
     bound: float
     passed: bool
-    report: MacroUncertaintyReport
+    report: MacroUncertaintyReport | None
+    e_upper: float | None = None
 
 
 def check_uncertainty_bound(
@@ -538,17 +556,33 @@ def check_uncertainty_bound(
 ) -> UncertaintyBoundCheck:
     """Run a separable input through the network and test the depth bound.
 
-    The achieved value is a lower bound on the functional, so a failure here
-    is a genuine counterexample, not an optimizer artifact.
+    For qubits the row is first decided by the variance ceiling: every site
+    observable with spread <= 1 is ``u . sigma / 2`` with ``|u| <= 1``, and
+    every state obeys ``||[A, rho]||_1 <= 2 sqrt(Var_rho(A))``, so
+    ``e_upper = 2 sqrt(lambda_max(M))`` bounds the functional from above on
+    mixed states as well as pure ones.  When ``e_upper <= bound + tol`` the
+    pass is certified, no search runs, and ``e_lower`` is the trace norm at
+    the top-variance direction ``v_M``.  Otherwise, and for l > 2,
+    ``estimate_e`` searches for a maximizer; its ``e_lower`` is a lower bound,
+    so a failure is a genuine counterexample and a pass there only means none
+    was found.
     """
     rho_out = apply(net, mix(separable))
-    report = estimate_e(rho_out, **estimate_options)
     bound = uncertainty_bound(net.n, net.depth)
+    e_upper = None
+    if rho_out.l == 2:
+        var_value, v = max_variance_qubit(rho_out)
+        e_upper = 2.0 * math.sqrt(var_value)
+        if e_upper <= bound + tol:
+            e_lower = commutator_trace_norm(SiteObservable.from_bloch(v), rho_out)
+            return UncertaintyBoundCheck(e_lower, bound, True, None, e_upper)
+    report = estimate_e(rho_out, **estimate_options)
     return UncertaintyBoundCheck(
         e_lower=report.e_lower,
         bound=bound,
         passed=report.e_lower <= bound + tol,
         report=report,
+        e_upper=e_upper,
     )
 
 

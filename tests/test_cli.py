@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from shallownet import states
+from shallownet import states, uncertainty
 from shallownet.cli import main
 from shallownet.dsl import serialize
 from shallownet.linalg import SIGMA_X, operator_norm, tensor
@@ -275,6 +275,39 @@ class TestVerify:
         captured = capsys.readouterr()
         assert field in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--noise", "-0.5"], "noise"),
+        (["--noise", "nan"], "noise"),
+        (["--noise", "1.5", "--trials", "1"], "noise"),
+        (["--tol", "nan"], "tol"),
+        (["--tol", "-1"], "tol"),
+    ])
+    def test_invalid_noise_or_tol_exits_2(self, capsys, flags, field):
+        assert main(["verify", "1", "--n-list", "4", "--k-list", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must" in captured.err
+        assert "BOUND VIOLATION" not in captured.err
+        assert captured.out == ""
+
+    def test_uncertified_pass_is_counted_on_stderr(self, capsys, monkeypatch):
+        argv = ["verify", "1", "--trials", "2", "--n-list", "4,8", "--k-list", "1",
+                "--noise", "0.3", "--seed", "0"]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert "not certified" not in capsys.readouterr().err
+        unitary, noisy = report["rows"]
+        assert noisy["n"] == 8 and noisy["lhs"] < noisy["e_upper"]
+        # a bound between the noisy row's two values: the ceiling cannot settle
+        # that row, and the search finds no counterexample
+        middle = (noisy["lhs"] + noisy["e_upper"]) / 2
+        real_bound = uncertainty.uncertainty_bound
+        monkeypatch.setattr(uncertainty, "uncertainty_bound",
+                            lambda n, k: middle if n == 8 else real_bound(n, k))
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["all_pass"] is True
+        assert "note: 1 passing row(s) not certified" in captured.err
 
 
 class TestLightcone:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from shallownet import uncertainty
 from shallownet.measurement import weak_measure_product
-from shallownet.linalg import SIGMA_X
-from shallownet.states import cat_state
+from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from shallownet.network import apply, random_shallow
+from shallownet.states import cat_state, mix, random_product_input
 from shallownet.sweeps import (
     RunConfig,
     projection_bound_sweep,
@@ -11,6 +13,7 @@ from shallownet.sweeps import (
     trial_seed,
     uncertainty_bound_sweep,
 )
+from shallownet.uncertainty import averaging_matrix
 
 
 class TestTrialSeed:
@@ -49,3 +52,63 @@ class TestSweeps:
 
     def test_zero_trials(self):
         assert run_sweep(1, RunConfig(trials=0)) == []
+
+
+HALF_PAULIS = [SIGMA_X / 2, SIGMA_Y / 2, SIGMA_Z / 2]
+CEILING_CONFIGS = [
+    RunConfig(seed=1, trials=18, n_values=(4, 6, 8), k_values=(0, 1, 2), noise=0.05),
+    RunConfig(seed=41, trials=18, n_values=(4, 6, 8), k_values=(0, 1, 2), noise=0.05),
+    RunConfig(seed=7, trials=36, n_values=(4, 6, 8), k_values=(0, 1, 2), noise=0.3),
+]
+
+
+def _row_state(row):
+    """The row's output state, from its seed and the draws the sweep makes."""
+    rng = np.random.default_rng(row["seed"])
+    net = random_shallow(row["n"], row["k"], rng, noise=row["noise"])
+    return apply(net, mix(random_product_input(row["n"], 2, rng)))
+
+
+def _dense_ceiling(rho, n):
+    """2 sqrt(lambda_max(M)) with M the covariance of the dense spin averages."""
+    ops = [averaging_matrix(half, n) for half in HALF_PAULIS]
+    m = rho.matrix
+    means = [np.trace(a @ m).real for a in ops]
+    cov = np.array([[np.trace((a @ b + b @ a) @ m).real / 2 - ma * mb
+                     for b, mb in zip(ops, means)] for a, ma in zip(ops, means)])
+    return 2 * np.sqrt(max(np.linalg.eigvalsh(cov)[-1], 0.0))
+
+
+@pytest.fixture(scope="module")
+def ceiling_rows():
+    """Sweep-1 rows of three configs, run with the search disabled."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("estimate_e ran on a row the ceiling should settle")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(uncertainty, "estimate_e", no_search)
+        rows = [row for config in CEILING_CONFIGS for row in uncertainty_bound_sweep(config)]
+    return [(row, _row_state(row)) for row in rows]
+
+
+class TestCeilingCertificate:
+    def test_every_row_settled_without_search(self, ceiling_rows):
+        assert len(ceiling_rows) == 72
+        assert all(row["pass"] and row["e_upper"] <= row["bound"] for row, _ in ceiling_rows)
+
+    def test_e_upper_is_the_dense_ceiling(self, ceiling_rows):
+        for row, rho in ceiling_rows:
+            assert row["e_upper"] == pytest.approx(_dense_ceiling(rho, row["n"]), abs=1e-12)
+
+    def test_lhs_below_search_below_ceiling(self, ceiling_rows):
+        for row, rho in ceiling_rows:
+            searched = uncertainty.estimate_e(rho).e_lower
+            assert row["lhs"] <= searched + 1e-12
+            assert searched <= row["e_upper"] + 1e-12
+
+    def test_pure_rows_lhs_is_the_ceiling(self, ceiling_rows):
+        pure = [row for row, _ in ceiling_rows if row["noise"] == 0.0 or row["k"] == 0]
+        assert len(pure) == 48
+        for row in pure:
+            assert row["lhs"] == pytest.approx(row["e_upper"], abs=1e-12)

@@ -397,3 +397,46 @@ class TestBoundCheck:
         assert check.e_lower == pytest.approx(1.0, abs=1e-6)
         assert check.bound == pytest.approx(np.sqrt(2 / 8) * 8)
         assert check.passed
+
+
+class TestCeilingFallThrough:
+    """Rows the variance ceiling cannot settle go to the search."""
+
+    @pytest.fixture()
+    def search_calls(self, monkeypatch):
+        calls = []
+
+        def spy(rho, **options):
+            calls.append(rho)
+            return estimate_e(rho, **options)
+
+        monkeypatch.setattr(uncertainty, "estimate_e", spy)
+        return calls
+
+    def test_unsettled_row_runs_the_search(self, monkeypatch, search_calls):
+        monkeypatch.setattr(uncertainty, "uncertainty_bound", lambda n, k: 0.0)
+        rng = np.random.default_rng(17)
+        net = random_shallow(4, 2, rng, noise=0.3)
+        check = check_uncertainty_bound(net, random_product_input(4, 2, rng))
+        assert len(search_calls) == 1
+        assert check.report is not None
+        assert check.e_lower == check.report.e_lower > 0
+        assert check.e_upper >= check.e_lower
+        assert not check.passed
+
+    def test_settled_row_skips_the_search(self, search_calls):
+        rng = np.random.default_rng(17)
+        net = random_shallow(4, 2, rng, noise=0.3)
+        check = check_uncertainty_bound(net, random_product_input(4, 2, rng))
+        assert search_calls == []
+        assert check.report is None
+        assert check.passed and check.e_lower <= check.e_upper <= check.bound
+
+    def test_qutrits_take_the_search(self, search_calls):
+        rng = np.random.default_rng(19)
+        net = random_shallow(3, 1, rng, l=3)
+        check = check_uncertainty_bound(net, random_product_input(3, 3, rng))
+        assert len(search_calls) == 1
+        assert check.report is not None
+        assert check.e_upper is None
+        assert check.passed
