@@ -267,14 +267,12 @@ def cmd_verify(args) -> int:
         "format": (str, "json"),
     })
     which = args.which
-    config = sweeps.RunConfig(
-        seed=opts["seed"],
-        trials=opts["trials"],
-        n_values=opts["n_list"],
-        k_values=opts["k_list"],
-        noise=opts["noise"] if which == 1 else 0.0,
-        tol=opts["tol"],
-    )
+    fields = {"seed": opts["seed"], "trials": opts["trials"], "n_values": opts["n_list"],
+              "k_values": opts["k_list"], "tol": opts["tol"]}
+    # validated for both sweeps; sweep 2 runs unitary networks, so its value goes unused
+    config = sweeps.RunConfig(noise=opts["noise"], **fields)
+    if which == 2:
+        config = sweeps.RunConfig(noise=0.0, **fields)
     rows = sweeps.run_sweep(which, config)
     all_pass = all(r["pass"] for r in rows)
     columns = ["trial", "seed", "n", "k", "noise", "lhs", "bound", "pass"]

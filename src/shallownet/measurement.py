@@ -167,9 +167,19 @@ class WeakOutcome:
 
 
 def _weak_setup(rho, site_observables, post_fn):
-    """The state, each site's spectral decomposition, and an outcome-record builder."""
+    """The state, each site's spectral decomposition, and an outcome-record builder.
+
+    Equal site observables share one decomposition: the CLI passes one Pauli
+    for every site.
+    """
     state = to_density(rho)
-    decs = [spectral_decompose(linalg.require_hermitian(a)) for a in site_observables]
+    decs, distinct = [], {}
+    for a in site_observables:
+        m = linalg.require_hermitian(a)
+        key = (m.shape, m.tobytes())
+        if key not in distinct:
+            distinct[key] = spectral_decompose(m)
+        decs.append(distinct[key])
     if len(decs) != state.n:
         raise ValueError(f"need {state.n} site observables, got {len(decs)}")
     combine = post_fn if post_fn is not None else (lambda x: x)
@@ -198,8 +208,8 @@ def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
                 outcomes.append(record(values, p, m / p))
             return
         for value, q in zip(decs[site].eigenvalues, decs[site].projectors):
-            post = _conjugate_by_channels(m, [((site + 1,), [q])], state.n, state.l)
-            walk(site + 1, post, values + (value,))
+            collapse = [((site + 1,), np.kron(q, q.conj()))]
+            walk(site + 1, _conjugate_by_channels(m, collapse, state.n, state.l), values + (value,))
 
     walk(0, state.matrix, ())
     return outcomes
@@ -219,7 +229,8 @@ def weak_measure_product(rho, site_observables, post_fn=None, rng: np.random.Gen
         idx = int(rng.choice(len(probs), p=probs))
         joint *= float(probs[idx])
         values += (dec.eigenvalues[idx],)
-        current = _conjugate_by_channels(current, [((site,), [dec.projectors[idx]])], n, l)
+        q = dec.projectors[idx]
+        current = _conjugate_by_channels(current, [((site,), np.kron(q, q.conj()))], n, l)
         current /= probs[idx]
     return record(values, joint, current)
 
@@ -348,7 +359,7 @@ def conjugated_strong_measure_exact(rho, conjugator: Network) -> list:
     outcomes = []
     for value in (-1.0, 1.0):
         q = (np.eye(2) + value * SIGMA_X) / 2
-        m = _conjugate_by_channels(rotated, [((n,), [q])], n, 2)
+        m = _conjugate_by_channels(rotated, [((n,), np.kron(q, q.conj()))], n, 2)
         p = float(np.real(np.trace(m)))
         if p > PROBABILITY_FLOOR:
             post = apply(conjugator, DensityState(n, 2, m / p))

@@ -5,8 +5,14 @@ are the single-Kraus special case.  A step is a set of channels with pairwise
 disjoint supports; a network is an ordered sequence of steps.  Networks act on
 density matrices in step order (Schrodinger picture) and on observables in
 reverse step order (Heisenberg picture, ``apply_dual``), so that
-``tr(apply_dual(net, a) @ rho) == tr(a @ apply(net, rho).matrix)``.  Kraus
-operators act through ``linalg.act_local`` on the axes they touch only.
+``tr(apply_dual(net, a) @ rho) == tr(a @ apply(net, rho).matrix)``.
+
+On a density matrix every channel, whatever its Kraus count, acts as one
+superoperator ``S = sum_K K (x) conj(K)`` (``S^dag`` for ``apply_dual``),
+contracted by ``linalg.act_local`` into the row and column axes of the sites
+it touches.  ``S`` is built on first use and cached on the channel, so
+parsing, ``apply_pure`` and the projection sweep never build it.  A unitary
+network on a state vector applies its gates directly (``apply_pure``).
 
 Depth is reported two ways: the raw step count (``net.depth``) and
 ``canonical_depth``, which first contracts steps made purely of single-site
@@ -94,6 +100,7 @@ class LocalChannel:
     support: tuple
     kraus: tuple
     unitary_flag: bool = field(init=False)
+    _superoperator: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple(int(s) for s in self.support)
@@ -119,6 +126,18 @@ class LocalChannel:
     @property
     def dim(self) -> int:
         return self.kraus[0].shape[0]
+
+    def superoperator(self) -> np.ndarray:
+        """``S = sum_K K (x) conj(K)``, built on first use and cached (read-only).
+
+        On a density matrix reshaped to ``(l,)*2n``, ``S`` contracted into the
+        support's row and column axes at once is ``rho -> sum_K K rho K^dag``.
+        """
+        if self._superoperator is None:
+            s = sum(np.kron(k, k.conj()) for k in self.kraus)
+            s.setflags(write=False)
+            object.__setattr__(self, "_superoperator", s)
+        return self._superoperator
 
 
 @dataclass(frozen=True)
@@ -183,16 +202,16 @@ def identity_network(n: int, l: int = 2) -> Network:
 # Application
 # ---------------------------------------------------------------------------
 
-def _conjugate_by_channels(m: np.ndarray, families, n: int, l: int) -> np.ndarray:
-    """m -> sum_K K m K^dag for each (support, Kraus family) in turn."""
+def _conjugate_by_channels(m: np.ndarray, superoperators, n: int, l: int) -> np.ndarray:
+    """m -> S(m) for each (support, superoperator S) in turn.
+
+    ``S = sum_K A_K (x) conj(B_K)`` maps m to ``sum_K A_K m B_K^dag`` on the
+    support: one contraction into its row and column axes.
+    """
     t = m.reshape((l,) * (2 * n))
-    for support, kraus in families:
-        rows = [s - 1 for s in support]
-        cols = [n + r for r in rows]
-        out = np.zeros_like(t)
-        for k in kraus:
-            out += linalg.act_local(k.conj(), cols, linalg.act_local(k, rows, t, l), l)
-        t = out
+    for support, s in superoperators:
+        rows = [site - 1 for site in support]
+        t = linalg.act_local(s, rows + [n + r for r in rows], t, l)
     return t.reshape(m.shape)
 
 
@@ -200,8 +219,10 @@ def apply(net: Network, rho: DensityState) -> DensityState:
     """Run the network on a density state, channels in step order."""
     if (rho.n, rho.l) != (net.n, net.l):
         raise ValueError(f"state is ({rho.n}, {rho.l}) but network is ({net.n}, {net.l})")
-    families = ((ch.support, ch.kraus) for step in net.steps for ch in step.channels)
-    return DensityState(net.n, net.l, _conjugate_by_channels(rho.matrix, families, net.n, net.l))
+    superoperators = ((ch.support, ch.superoperator())
+                      for step in net.steps for ch in step.channels)
+    out = _conjugate_by_channels(rho.matrix, superoperators, net.n, net.l)
+    return DensityState(net.n, net.l, out)
 
 
 def _apply_unitary_block(net: Network, x: np.ndarray) -> np.ndarray:
@@ -227,14 +248,17 @@ def apply_pure(net: Network, psi: PureState) -> PureState:
 
 
 def apply_dual(net: Network, a: np.ndarray) -> np.ndarray:
-    """Heisenberg propagation: steps in reverse order, a -> sum K^dag a K."""
+    """Heisenberg propagation: steps in reverse order, a -> sum K^dag a K.
+
+    Each channel acts as ``S^dag = sum_K K^dag (x) K^T``.
+    """
     m = linalg.require_square(a)
     dim = net.l**net.n
     if m.shape[0] != dim:
         raise ValueError(f"observable dimension {m.shape[0]}, expected {dim}")
-    families = ((ch.support, [k.conj().T for k in ch.kraus])
-                for step in reversed(net.steps) for ch in step.channels)
-    return _conjugate_by_channels(m.copy(), families, net.n, net.l)
+    superoperators = ((ch.support, ch.superoperator().conj().T)
+                      for step in reversed(net.steps) for ch in step.channels)
+    return _conjugate_by_channels(m.copy(), superoperators, net.n, net.l)
 
 
 def invert_unitary(net: Network) -> Network:

@@ -23,6 +23,9 @@ NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 WEIGHT_ATOL = 1e-12
+# Far above the rounding of an outer product v v^dag (about 1e-17), far below
+# any weight that would move a functional read at 1e-12.
+RANK_ONE_ATOL = 1e-14
 
 
 def _frozen_array(obj, name: str, value) -> None:
@@ -133,6 +136,22 @@ class SeparableInput:
     @property
     def l(self) -> int:
         return self.terms[0][1][0].shape[0]
+
+    def pure_product(self) -> PureState | None:
+        """The input as a state vector when it is one term of rank-one factors, else None.
+
+        A factor counts as rank one when every eigenvalue but its largest is
+        within RANK_ONE_ATOL of zero; its vector is the top eigenvector.
+        """
+        if len(self.terms) != 1:
+            return None
+        vecs = []
+        for f in self.terms[0][1]:
+            eig, vec = np.linalg.eigh(f)
+            if np.max(np.abs(eig[:-1]), initial=0.0) > RANK_ONE_ATOL:
+                return None
+            vecs.append(vec[:, -1])
+        return product_state(vecs)
 
 
 def product_state(factors) -> PureState:

@@ -75,7 +75,8 @@ def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
     """Depth-bound rows for prepared states: the functional vs sqrt(2/n) 2^k.
 
     Each row carries ``lhs``, a lower bound on the functional at the output
-    state, and ``e_upper``, the variance ceiling above it.  A row with
+    state, ``e_upper``, the variance ceiling above it, and ``slack``, which
+    is ``bound - e_upper`` (negative when the ceiling cannot certify).  A row with
     ``e_upper <= bound + tol`` passes with a certificate and ``lhs`` is the
     value at the top-variance direction; any other row passes only if the
     search's ``lhs`` stays within the bound, which means no counterexample
@@ -98,6 +99,7 @@ def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
                 "noise": noise,
                 "lhs": check.e_lower,
                 "e_upper": check.e_upper,
+                "slack": check.bound - check.e_upper,
                 "bound": check.bound,
                 "pass": bool(check.passed),
             }

@@ -33,7 +33,11 @@ state, pure or mixed, so a row with ``e_upper <= bound + tol`` is certified
 to pass from one 3x3 eigenproblem, and its ``e_lower`` is the trace norm at
 the top-variance direction.  Only a row the ceiling cannot settle (and every
 l > 2 row) goes to ``estimate_e``, whose lower bound can refute the bound but
-cannot certify it.
+cannot certify it.  A row with a pure product input and a unitary network
+stays a state vector throughout: ``max_variance_qubit`` and
+``commutator_trace_norm`` take a ``PureState`` through its d x 1 range, so M
+comes from the three vectors ``S_p psi`` and the trace norm from a 2 x 2
+spectrum.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .network import Network, apply
-from .states import SeparableInput, density_matrix, mix, to_density
+from .network import Network, apply, apply_pure
+from .states import PureState, SeparableInput, density_matrix, mix, to_density
 
 SPREAD_ATOL = 1e-10
 PURITY_ATOL = 1e-8
@@ -171,7 +175,15 @@ def variance(abar, rho) -> float:
 
 
 def commutator_trace_norm(abar, rho) -> float:
-    """Trace norm of [abar, rho]."""
+    """Trace norm of [abar, rho].
+
+    A PureState stays a vector: ``i[abar, psi psi^dag]`` lives in the span of
+    ``psi`` and ``abar psi``, so the norm is the spectrum of a 2 x 2 matrix
+    (``_commutator_on_range`` on the d x 1 block).
+    """
+    if isinstance(rho, PureState):
+        h, _ = _commutator_on_range(abar, rho.amplitudes[:, None])
+        return _hermitian_trace_norm(h)
     return _hermitian_trace_norm(1j * _commutator(abar, density_matrix(rho)))
 
 
@@ -247,18 +259,37 @@ def _spin_moments(m: np.ndarray, n: int):
     return prods, (cov + cov.T) / 2
 
 
+def _pure_spin_covariance(psi: PureState) -> np.ndarray:
+    """``M_pq = Re<S_p psi, S_q psi> - <S_p><S_q>`` from the three vectors ``S_p psi``.
+
+    Each ``S_p psi`` is one site-by-site pass over the d x 1 block, so M costs
+    O(n d) and no d x d matrix forms.
+    """
+    amps = psi.amplitudes
+    g = np.stack([_abar_times(SiteObservable(half), amps[:, None])[:, 0] for half in HALF_PAULIS])
+    means = np.real(g @ amps.conj())
+    cov = np.real(g.conj() @ g.T) - np.outer(means, means)
+    return (cov + cov.T) / 2
+
+
 def max_variance_qubit(rho):
     """Maximize Var(abar) over Bloch directions; returns (value, direction).
 
     The variance is the quadratic form ``v^T M v`` with
     ``M_pq = Re tr({S_p, S_q}/2 rho) - tr(S_p rho) tr(S_q rho)`` over the
     spin-component averages ``S_p``, so the maximum is its top eigenpair.
+    A PureState stays a vector (``_pure_spin_covariance``).
     """
-    m = density_matrix(rho)
-    n = round(math.log2(m.shape[0]))
-    if 2**n != m.shape[0]:
-        raise ValueError("max_variance_qubit requires local dimension 2")
-    _, cov = _spin_moments(m, n)
+    if isinstance(rho, PureState):
+        if rho.l != 2:
+            raise ValueError("max_variance_qubit requires local dimension 2")
+        cov = _pure_spin_covariance(rho)
+    else:
+        m = density_matrix(rho)
+        n = round(math.log2(m.shape[0]))
+        if 2**n != m.shape[0]:
+            raise ValueError("max_variance_qubit requires local dimension 2")
+        _, cov = _spin_moments(m, n)
     eig, vec = np.linalg.eigh(cov)
     return max(float(eig[-1]), 0.0), vec[:, -1]
 
@@ -566,17 +597,25 @@ def check_uncertainty_bound(
     ``estimate_e`` searches for a maximizer; its ``e_lower`` is a lower bound,
     so a failure is a genuine counterexample and a pass there only means none
     was found.
+
+    A qubit row whose input is one term of rank-one factors and whose network
+    is unitary (every k = 0 network is) never leaves the state vector:
+    ``psi = U (x) v_i``, M from the vectors ``S_p psi`` and ``e_lower`` from a
+    2 x 2 spectrum, with no d x d matrix.  Every other row runs the network on
+    the mixed input's density matrix; a pure row the ceiling cannot settle is
+    searched on ``psi psi^dag``, the same state.
     """
-    rho_out = apply(net, mix(separable))
+    psi = separable.pure_product() if separable.l == 2 and net.is_unitary() else None
+    state = apply_pure(net, psi) if psi is not None else apply(net, mix(separable))
     bound = uncertainty_bound(net.n, net.depth)
     e_upper = None
-    if rho_out.l == 2:
-        var_value, v = max_variance_qubit(rho_out)
+    if state.l == 2:
+        var_value, v = max_variance_qubit(state)
         e_upper = 2.0 * math.sqrt(var_value)
         if e_upper <= bound + tol:
-            e_lower = commutator_trace_norm(SiteObservable.from_bloch(v), rho_out)
+            e_lower = commutator_trace_norm(SiteObservable.from_bloch(v), state)
             return UncertaintyBoundCheck(e_lower, bound, True, None, e_upper)
-    report = estimate_e(rho_out, **estimate_options)
+    report = estimate_e(state, **estimate_options)
     return UncertaintyBoundCheck(
         e_lower=report.e_lower,
         bound=bound,

@@ -290,6 +290,28 @@ class TestVerify:
         assert "BOUND VIOLATION" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("noise", ["nan", "1.5"])
+    def test_sweep_two_rejects_invalid_noise(self, capsys, noise):
+        assert main(["verify", "2", "--trials", "1", "--n-list", "4", "--k-list", "1",
+                     "--noise", noise]) == 2
+        captured = capsys.readouterr()
+        assert "noise must" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_two_leaves_valid_noise_unused(self, capsys):
+        argv = ["verify", "2", "--trials", "2", "--n-list", "4", "--k-list", "1", "--seed", "4"]
+        code, plain = run_json(capsys, argv)
+        code_noisy, noisy = run_json(capsys, argv + ["--noise", "0.3"])
+        assert code == code_noisy == 0
+        assert noisy == plain
+        assert noisy["config"]["noise"] == 0.0
+
+    def test_sweep_one_rows_carry_slack(self, capsys):
+        code, report = run_json(capsys, ["verify", "1", "--trials", "4", "--seed", "2"])
+        assert code == 0
+        for row in report["rows"]:
+            assert row["slack"] == row["bound"] - row["e_upper"]
+
     def test_uncertified_pass_is_counted_on_stderr(self, capsys, monkeypatch):
         argv = ["verify", "1", "--trials", "2", "--n-list", "4,8", "--k-list", "1",
                 "--noise", "0.3", "--seed", "0"]

@@ -182,6 +182,21 @@ class TestWeakMeasure:
             assert abs(out.probability - twin.probability) <= 1e-10
             assert np.allclose(out.post_state.matrix, twin.post_state.matrix, atol=1e-10, rtol=0.0)
 
+    def test_each_distinct_observable_decomposed_once(self, monkeypatch):
+        calls = []
+
+        def spy(a, *args):
+            calls.append(a)
+            return spectral_decompose(a, *args)
+
+        monkeypatch.setattr(measurement, "spectral_decompose", spy)
+        rho = states.random_density_state(4, 2, np.random.default_rng(40))
+        weak_measure_product(rho, [SIGMA_X] * 4, rng=np.random.default_rng(1))
+        assert len(calls) == 1
+        outs = weak_measure_product_exact(rho, [SIGMA_X, SIGMA_Z, SIGMA_X.copy(), SIGMA_Z])
+        assert len(calls) == 3
+        assert sum(o.probability for o in outs) == pytest.approx(1.0, abs=1e-12)
+
     def test_destroys_and_prepares_are_complementary(self):
         n = 4
         outs = weak_measure_product_exact(cat_state(n), [SIGMA_X] * n)

@@ -119,6 +119,45 @@ class TestApply:
             apply(identity_network(3), zeros_density(2))
 
 
+class TestSuperoperator:
+    def test_cached_superoperator_is_the_kraus_sum(self):
+        ch = random_shallow(2, 1, 4, noise=0.2).steps[0].channels[0]
+        assert ch._superoperator is None
+        s = ch.superoperator()
+        assert np.allclose(s, sum(np.kron(k, k.conj()) for k in ch.kraus), atol=1e-15)
+        assert ch.superoperator() is s
+        assert not s.flags.writeable
+
+    def test_pure_path_builds_no_superoperator(self):
+        net = random_shallow(4, 2, 6)
+        apply_pure(net, product_state([KET0] * 4))
+        assert all(ch._superoperator is None for step in net.steps for ch in step.channels)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_noisy_channels_match_dense_kraus_sum(self, l):
+        rng = np.random.default_rng(20 + l)
+        n = 3
+        one_site = LocalChannel((2,), tuple(k @ network.haar_unitary(l, rng)
+                                            for k in depolarizing_kraus(0.3, l)))
+        two_site = LocalChannel((3, 1), tuple(k @ network.haar_unitary(l * l, rng)
+                                              for k in depolarizing_kraus(0.2, l * l)))
+        net = Network(n, l, (Step((one_site,)), Step((two_site,)), Step((one_site,))))
+        rho = states.random_density_state(n, l, rng)
+        d = l**n
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        expect_rho, expect_a = rho.matrix, a
+        for step in net.steps:
+            for ch in step.channels:
+                full = [embed(k, ch.support, n, l) for k in ch.kraus]
+                expect_rho = sum(kf @ expect_rho @ kf.conj().T for kf in full)
+        for step in reversed(net.steps):
+            for ch in step.channels:
+                full = [embed(k, ch.support, n, l) for k in ch.kraus]
+                expect_a = sum(kf.conj().T @ expect_a @ kf for kf in full)
+        assert np.max(np.abs(apply(net, rho).matrix - expect_rho)) <= 1e-12
+        assert np.max(np.abs(apply_dual(net, a) - expect_a)) <= 1e-12
+
+
 class TestApplyDual:
     def test_identity_network(self):
         a = embed(SIGMA_Z, [1], 3, 2)

@@ -89,6 +89,21 @@ class TestMix:
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
 
+class TestPureProduct:
+    def test_rank_one_factors_give_the_product_vector(self):
+        rng = np.random.default_rng(8)
+        sep = states.random_product_input(4, 3, rng)
+        psi = sep.pure_product()
+        assert (psi.n, psi.l) == (4, 3)
+        assert np.allclose(psi.density().matrix, mix(sep).matrix, atol=1e-14)
+
+    def test_mixtures_and_mixed_factors_give_none(self):
+        proj0 = np.outer(KET0, KET0.conj())
+        proj1 = np.outer(KET1, KET1.conj())
+        assert SeparableInput(((0.5, (proj0, proj0)), (0.5, (proj1, proj1)))).pure_product() is None
+        assert SeparableInput(((1.0, (proj0, np.eye(2) / 2)),)).pure_product() is None
+
+
 class TestFidelity:
     def test_self(self):
         assert fidelity(cat_state(4), cat_state(4)) == pytest.approx(1.0)

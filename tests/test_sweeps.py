@@ -112,3 +112,44 @@ class TestCeilingCertificate:
         assert len(pure) == 48
         for row in pure:
             assert row["lhs"] == pytest.approx(row["e_upper"], abs=1e-12)
+
+
+BENCH_CONFIG = {"trials": 18, "n_values": (4, 6, 8), "k_values": (0, 1, 2), "noise": 0.05}
+
+
+def _is_pure_row(row):
+    return row["noise"] == 0.0 or row["k"] == 0
+
+
+class TestPureRowsOnTheStateVector:
+    """Unitary and k = 0 rows with a pure product input never form a d x d matrix."""
+
+    @pytest.mark.parametrize("seed", [1, 41])
+    def test_bench_config_without_density_path_on_pure_rows(self, monkeypatch, seed):
+        mixed = []
+
+        def apply_noisy_only(net, rho):
+            assert not net.is_unitary(), "a unitary row ran the density path"
+            return apply(net, rho)
+
+        def counted_mix(sep):
+            mixed.append(sep)
+            return mix(sep)
+
+        monkeypatch.setattr(uncertainty, "apply", apply_noisy_only)
+        monkeypatch.setattr(uncertainty, "mix", counted_mix)
+        rows = uncertainty_bound_sweep(RunConfig(seed=seed, **BENCH_CONFIG))
+        assert all(row["pass"] for row in rows)
+        assert len(mixed) == sum(1 for row in rows if not _is_pure_row(row)) == 6
+
+    @pytest.mark.parametrize("seed", [1, 41])
+    def test_rows_match_the_density_path(self, seed):
+        rows = uncertainty_bound_sweep(RunConfig(seed=seed, **{**BENCH_CONFIG, "trials": 36}))
+        assert sum(1 for row in rows if _is_pure_row(row)) == 24
+        for row in rows:
+            rho = _row_state(row)
+            var_value, v = uncertainty.max_variance_qubit(rho)
+            lhs = uncertainty.commutator_trace_norm(uncertainty.SiteObservable.from_bloch(v), rho)
+            assert row["e_upper"] == pytest.approx(2 * np.sqrt(var_value), abs=1e-12)
+            assert row["lhs"] == pytest.approx(lhs, abs=1e-12)
+            assert row["slack"] == row["bound"] - row["e_upper"] > 0

@@ -27,6 +27,7 @@ from shallownet.uncertainty import (
     fibonacci_sphere,
     hypersurface_value,
     max_variance_qubit,
+    random_site_observable,
     uncertainty_bound,
     variance,
 )
@@ -225,6 +226,25 @@ class TestMaxVarianceQubit:
         )
         assert value >= grid_best - 1e-9
         assert value == pytest.approx(grid_best, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_pure_state_vector_matches_density(self, n):
+        rng = np.random.default_rng(30 + n)
+        for psi in (random_pure_state(n, 2, rng), cat_state(n), product_state([KET0] * n)):
+            value, direction = max_variance_qubit(psi)
+            dense_value, _ = max_variance_qubit(psi.density())
+            assert value == pytest.approx(dense_value, abs=1e-14)
+            for c in (SiteObservable.from_bloch(direction), random_site_observable(2, rng)):
+                for abar in (c, averaging_matrix(c, n)):
+                    assert commutator_trace_norm(abar, psi) == pytest.approx(
+                        commutator_trace_norm(abar, psi.density()), abs=1e-13)
+            # a pure state attains its variance ceiling in the top direction
+            f_v = commutator_trace_norm(SiteObservable.from_bloch(direction), psi)
+            assert f_v == pytest.approx(2 * np.sqrt(value), abs=1e-12)
+
+    def test_pure_state_requires_qubits(self):
+        with pytest.raises(ValueError, match="local dimension 2"):
+            max_variance_qubit(random_pure_state(2, 3, np.random.default_rng(0)))
 
 
 class TestEstimate:
