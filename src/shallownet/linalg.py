@@ -42,10 +42,6 @@ def require_square(a) -> np.ndarray:
     return m
 
 
-def dagger(a) -> np.ndarray:
-    return as_matrix(a).conj().T
-
-
 def is_hermitian(a, atol: float = HERMITIAN_ATOL) -> bool:
     m = require_square(a)
     return bool(np.max(np.abs(m - m.conj().T), initial=0.0) <= atol)

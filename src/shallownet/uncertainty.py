@@ -8,23 +8,23 @@ depth-k network can raise the value by at most ``2^k``.
 
 ``estimate_e`` reports a certified lower bound: ``e_lower`` is the trace norm
 of the dense ``[abar, rho]`` at the reported maximizer, computed once the
-search has ended, so no shortcut of the search enters it.  For qubits the
-search runs over Bloch directions v, where the functional is
-``f(v) = ||v . H||_1`` with ``H_p = i[S_p, rho]`` built once per call.  Every
-state obeys the variance ceiling ``f(v) <= 2 sqrt(v^T M v)`` (M the 3x3 spin
-covariance, with equality on pure states).  The candidates (a deterministic
-Fibonacci grid plus the two top-variance directions) are visited in
-decreasing order of ceiling, stopping once no remaining ceiling can beat the
-best value found.  A best value at ``2 sqrt(lambda_max(M))`` is certified
-optimal and ends the search with ``iterations = 0``, which is what happens on
-pure states; otherwise a projected subgradient ascent refines the best
-candidate.  For larger local dimensions the search is a projected ascent over
-traceless Hermitian site observables with spectral spread 1, restarted from
-seeded random starts.  It runs on a range factor ``rho = F F^dag`` (r columns,
-from one ``eigh`` per call): ``[abar, rho]`` lives in the span of
-``[F, abar F]``, so its trace norm is the spectrum of a ``min(2r, d)``-square
-matrix, and the subgradient reduces from ``F`` and ``w F`` with no d x d
-product.  Every rank takes this path; low ranks gain the most.
+search has ended, so no shortcut of the search enters it.  The search is one
+ascent for every local dimension, run on coordinates of the commutator over
+the state's range.  With ``rho = F F^dag`` (r columns, one ``eigh`` per call)
+and ``lambda_a`` a trace-orthonormal basis of the traceless Hermitian site
+matrices, one reduced QR of ``[F, abar(lambda_1) F, ...]`` gives k x k
+Hermitian ``h_a``, ``k = min(l^2 r, d)``, with ``||[abar(c), rho]||_1 =
+||sum_a c_a h_a||_1``; each candidate costs one k x k spectrum and each
+subgradient is ``tr(w h_a)``.  Qubits start from a deterministic Fibonacci
+grid of Bloch directions (plus the two top-variance ones), visited in
+decreasing order of the variance ceiling ``2 sqrt(v^T M v)`` (M the 3x3 spin
+covariance, read from the same images ``abar(lambda_a) F``) until no
+remaining ceiling can beat the best value found.  A best value at
+``2 sqrt(lambda_max(M))`` is certified optimal and ends the search with
+``iterations = 0``, which is what happens on pure states; otherwise the
+ascent refines the best candidate.  Larger local dimensions ascend from
+seeded random starts.  Low ranks gain the most; on full-rank qubit states
+the QR of a d x 4d block can make the search slower than a dense one.
 
 ``check_uncertainty_bound`` tests the depth bound on a network's output and
 runs the search only when it must.  For qubits the variance ceiling
@@ -36,8 +36,8 @@ l > 2 row) goes to ``estimate_e``, whose lower bound can refute the bound but
 cannot certify it.  A row with a pure product input and a unitary network
 stays a state vector throughout: ``max_variance_qubit`` and
 ``commutator_trace_norm`` take a ``PureState`` through its d x 1 range, so M
-comes from the three vectors ``S_p psi`` and the trace norm from a 2 x 2
-spectrum.
+comes from the three images ``abar(lambda_a) psi`` and the trace norm from a
+2 x 2 spectrum.
 """
 
 from __future__ import annotations
@@ -146,7 +146,12 @@ def _abar_times(abar, x: np.ndarray) -> np.ndarray:
     l, n = abar.site.l, abar.n
     if l**n != x.shape[0]:
         raise ValueError(f"dimension mismatch: {(l**n, l**n)} vs {x.shape}")
-    op, t = abar.site.centered(), x.reshape((l,) * n + (-1,))
+    return _site_average(abar.site.centered(), x, n, l)
+
+
+def _site_average(op: np.ndarray, x: np.ndarray, n: int, l: int) -> np.ndarray:
+    """``(1/n) sum_i op_i @ x`` for an l x l op and a d x k block x, site by site."""
+    t = x.reshape((l,) * n + (-1,))
     out = np.zeros_like(t)
     for i in range(n):
         out += linalg.act_local(op, [i], t, l)
@@ -237,15 +242,82 @@ def hypersurface_value(rho, surface: Hypersurface) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Qubit inner maximization
+# Commutator coordinates over the state's range
 # ---------------------------------------------------------------------------
 
-def _spin_moments(m: np.ndarray, n: int):
-    """Products ``T_p = S_p rho`` for the three spin averages, and their covariance.
+def _traceless_basis(l: int) -> np.ndarray:
+    """Trace-orthonormal basis ``lambda_a`` of the traceless Hermitian l x l
+    matrices: the generalized Gell-Mann matrices over sqrt 2, so qubits get
+    ``sigma_x, sigma_y, sigma_z`` over sqrt 2 in that order."""
+    mats = []
+    for j in range(l):
+        for k in range(j + 1, l):
+            for upper in (1.0, -1j):
+                a = np.zeros((l, l), dtype=complex)
+                a[j, k], a[k, j] = upper, np.conj(upper)
+                mats.append(a / math.sqrt(2))
+    for j in range(1, l):
+        diag = np.zeros(l)
+        diag[:j], diag[j] = 1.0, -j
+        mats.append(np.diag(diag / math.sqrt(j * (j + 1))).astype(complex))
+    return np.stack(mats)
+
+
+def _basis_images(f: np.ndarray, n: int, basis: np.ndarray) -> np.ndarray:
+    """The stack ``G_a = abar(lambda_a) F``, each applied site by site."""
+    return np.stack([_site_average(lam, f, n, len(lam)) for lam in basis])
+
+
+def _range_coordinates(f: np.ndarray, gs: np.ndarray):
+    """``(h, q)``: Hermitian k x k ``h_a`` with ``i[abar(lambda_a), F F^dag] = q h_a q^dag``.
+
+    With ``G_a = abar(lambda_a) F``, ``i[abar_a, F F^dag] = i(G_a F^dag - F G_a^dag)``.
+    One reduced QR ``[F, G_1, ..., G_m] = q R`` puts all of them in the span of
+    q, as ``h_a = i(R_{G_a} R_F^dag - R_F R_{G_a}^dag)`` with
+    ``k = min((m + 1) r, d)``; ``i[abar(c), rho]`` is then ``sum_a c_a h_a``.
+    """
+    r = f.shape[1]
+    q, rr = np.linalg.qr(np.hstack([f, *gs]))
+    rg = rr[:, r:].reshape(rr.shape[0], len(gs), r).transpose(1, 0, 2)
+    p = rg @ rr[:, :r].conj().T
+    return 1j * (p - p.conj().transpose(0, 2, 1)), q
+
+
+def _commutator_on_range(abar, f: np.ndarray):
+    """``(h, q)`` with ``i[abar, F F^dag] = q h q^dag`` for one observable:
+    ``_range_coordinates`` on the single image ``abar F``, so h is
+    ``min(2r, d)``-square and its spectrum gives the trace norm."""
+    h, q = _range_coordinates(f, _abar_times(abar, f)[None])
+    return h[0], q
+
+
+def _coordinate_covariance(f: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """``C_ab = Re tr(G_a^dag G_b) - tr(F^dag G_a) tr(F^dag G_b)`` on ``rho = F F^dag``,
+    so ``Var(abar(c)) = c^T C c`` for the coordinates ``c_a = tr(lambda_a c)``."""
+    flat = gs.reshape(len(gs), -1)
+    means = np.real(flat @ f.reshape(-1).conj())
+    cov = np.real(flat.conj() @ flat.T) - np.outer(means, means)
+    return (cov + cov.T) / 2
+
+
+def _range_factor(m: np.ndarray) -> np.ndarray:
+    """``F = V sqrt(Lambda)`` over the eigenvalues above the cutoff: rho ~ F F^dag."""
+    eig, vec = np.linalg.eigh(m)
+    keep = eig > RANGE_CUTOFF * eig[-1]
+    return vec[:, keep] * np.sqrt(eig[keep])
+
+
+# ---------------------------------------------------------------------------
+# Qubit variance
+# ---------------------------------------------------------------------------
+
+def _spin_moments(m: np.ndarray, n: int) -> np.ndarray:
+    """Covariance M of the three spin averages ``S_p`` on a d x d rho, with no eigensolver.
 
     ``S_p`` (sigma_p/2 averaged over the n qubits) acts site by site.  The
-    covariance ``M_pq = Re tr(S_q T_p) - tr(T_p) tr(T_q)`` takes its first
-    term from the one-site marginals of T_p, so Var(v . S) = v^T M v.
+    covariance ``M_pq = Re tr(S_q T_p) - tr(T_p) tr(T_q)`` over the products
+    ``T_p = S_p rho`` takes its first term from the one-site marginals of
+    T_p, so Var(v . S) = v^T M v.
     """
     prods = np.empty((3,) + m.shape, dtype=complex)
     for p, half in enumerate(HALF_PAULIS):
@@ -256,19 +328,6 @@ def _spin_moments(m: np.ndarray, n: int):
     ])
     second = np.real(np.einsum("qab,pba->pq", HALF_PAULIS, marginals)) / n
     cov = second - np.outer(means, means)
-    return prods, (cov + cov.T) / 2
-
-
-def _pure_spin_covariance(psi: PureState) -> np.ndarray:
-    """``M_pq = Re<S_p psi, S_q psi> - <S_p><S_q>`` from the three vectors ``S_p psi``.
-
-    Each ``S_p psi`` is one site-by-site pass over the d x 1 block, so M costs
-    O(n d) and no d x d matrix forms.
-    """
-    amps = psi.amplitudes
-    g = np.stack([_abar_times(SiteObservable(half), amps[:, None])[:, 0] for half in HALF_PAULIS])
-    means = np.real(g @ amps.conj())
-    cov = np.real(g.conj() @ g.T) - np.outer(means, means)
     return (cov + cov.T) / 2
 
 
@@ -278,18 +337,20 @@ def max_variance_qubit(rho):
     The variance is the quadratic form ``v^T M v`` with
     ``M_pq = Re tr({S_p, S_q}/2 rho) - tr(S_p rho) tr(S_q rho)`` over the
     spin-component averages ``S_p``, so the maximum is its top eigenpair.
-    A PureState stays a vector (``_pure_spin_covariance``).
+    A PureState stays a vector: M is ``_coordinate_covariance`` on the d x 1
+    range ``psi``, halved because ``S_p = abar(sigma_p / sqrt 2) / sqrt 2``.
     """
     if isinstance(rho, PureState):
         if rho.l != 2:
             raise ValueError("max_variance_qubit requires local dimension 2")
-        cov = _pure_spin_covariance(rho)
+        f = rho.amplitudes[:, None]
+        cov = _coordinate_covariance(f, _basis_images(f, rho.n, _traceless_basis(2))) / 2
     else:
         m = density_matrix(rho)
         n = round(math.log2(m.shape[0]))
         if 2**n != m.shape[0]:
             raise ValueError("max_variance_qubit requires local dimension 2")
-        _, cov = _spin_moments(m, n)
+        cov = _spin_moments(m, n)
     eig, vec = np.linalg.eigh(cov)
     return max(float(eig[-1]), 0.0), vec[:, -1]
 
@@ -347,75 +408,6 @@ def _subgradient_sign(eig: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _ascend_bloch(v, best, h, max_iter, tol):
-    """Projected subgradient ascent of ``f(v) = ||v . H||_1`` over the Bloch sphere.
-
-    ``best`` is f at the start ``v``; the gradient of f is ``tr(w H_p)``
-    with w the sign factor of ``v . H``.  Returns the final direction and
-    the iteration count.
-    """
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        eig, vec = np.linalg.eigh(np.tensordot(v, h, axes=1))
-        w = (vec * _subgradient_sign(eig)) @ vec.conj().T
-        grad = np.real(np.einsum("ij,pji->p", w, h))
-        grad -= np.dot(grad, v) * v
-        if np.linalg.norm(grad) < tol:
-            break
-        step = 1.0
-        improved = False
-        while step > 1e-7:
-            cand = v + step * grad
-            cand /= np.linalg.norm(cand)
-            val_c = _hermitian_trace_norm(np.tensordot(cand, h, axes=1))
-            if val_c > best + 1e-15:
-                v, best = cand, val_c
-                improved = True
-                break
-            step /= 2
-        if not improved:
-            break
-    return v, iterations
-
-
-def _estimate_qubit(m, n, grid_size, max_iter, tol):
-    """Bound-ordered grid search, then the ascent unless the grid is certified.
-
-    ``f(v) = ||v . H||_1`` with ``H_p = i[S_p, rho]`` never exceeds the
-    variance ceiling ``2 sqrt(v^T M v)``.  Candidates are visited in
-    decreasing order of ceiling until the next ceiling falls below the best
-    value found; no skipped candidate could have beaten it.  A best value at
-    ``2 sqrt(lambda_max(M))`` is the global maximum, so the ascent is skipped.
-    """
-    prods, cov = _spin_moments(m, n)
-    # H_p = i(T_p - T_p^H), written over T so the search holds one 3 x d x d stack.
-    h = np.subtract(prods, prods.conj().transpose(0, 2, 1), out=prods)
-    h *= 1j
-    eig, vec = np.linalg.eigh(cov)
-    var_value = max(float(eig[-1]), 0.0)
-    ceiling_max = 2.0 * math.sqrt(var_value)
-    candidates = np.vstack([fibonacci_sphere(grid_size), vec[:, -1], -vec[:, -1]])
-    quad = np.einsum("ip,pq,iq->i", candidates, cov, candidates)
-    ceilings = 2.0 * np.sqrt(np.clip(quad, 0.0, None))
-    best, v0 = -1.0, None
-    for idx in np.argsort(-ceilings, kind="stable"):
-        if ceilings[idx] < best - CEILING_SLACK:
-            break
-        value = _hermitian_trace_norm(np.tensordot(candidates[idx], h, axes=1))
-        if value > best:
-            best, v0 = value, candidates[idx]
-        if best >= ceiling_max - CEILING_SLACK:
-            return SiteObservable.from_bloch(v0), 0, var_value
-    v_best, iterations = _ascend_bloch(v0, best, h, max_iter, tol)
-    return SiteObservable.from_bloch(v_best), iterations, var_value
-
-
-def _project_traceless(g: np.ndarray) -> np.ndarray:
-    l = g.shape[0]
-    return g - (np.trace(g) / l) * np.eye(l)
-
-
 def _normalize_spread(c: np.ndarray) -> np.ndarray:
     eig = np.linalg.eigvalsh(c)
     spread = float(eig[-1] - eig[0])
@@ -424,87 +416,87 @@ def _normalize_spread(c: np.ndarray) -> np.ndarray:
     return c / spread
 
 
-def _range_factor(m: np.ndarray) -> np.ndarray:
-    """``F = V sqrt(Lambda)`` over the eigenvalues above the cutoff: rho ~ F F^dag."""
-    eig, vec = np.linalg.eigh(m)
-    keep = eig > RANGE_CUTOFF * eig[-1]
-    return vec[:, keep] * np.sqrt(eig[keep])
+def _on_range(c: np.ndarray, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``sum_a c_a h_a`` with ``c_a = tr(lambda_a c)``: i[abar(c), rho] in range coordinates."""
+    return np.tensordot(np.real(np.einsum("aij,ji->a", basis, c)), h, axes=1)
 
 
-def _commutator_on_range(site, f: np.ndarray):
-    """``(h, q)``: Hermitian h with ``i[abar, rho] = q h q^dag``.
+def _coordinate_gradient(c: np.ndarray, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Subgradient coordinates ``tr(w h_a)`` of ``f(c) = ||sum_a c_a h_a||_1``,
+    w the sign factor of ``sum_a c_a h_a``."""
+    eig, vec = np.linalg.eigh(_on_range(c, basis, h))
+    w = (vec * _subgradient_sign(eig)) @ vec.conj().T
+    return np.real(np.einsum("ij,aji->a", w, h))
 
-    With ``G = abar F``, ``i[abar, F F^dag] = i(G F^dag - F G^dag)``.  In the
-    span of ``[F, G] = q R`` (reduced QR) it is the k x k matrix
-    ``h = i(R_G R_F^dag - R_F R_G^dag)``, ``k = min(2r, d)``, so its trace norm
-    is the spectrum of h.
+
+def _ascend(c, value, h, basis, max_iter, tol):
+    """Subgradient ascent of ``f(c) = ||sum_a c_a h_a||_1`` from the l x l site
+    matrix c, where f is ``value``.  Each step backtracks from length 1 and
+    rescales the candidate to spread 1; returns (c, f(c), iterations).
     """
-    r = f.shape[1]
-    q, rr = np.linalg.qr(np.hstack([f, _abar_times(site, f)]))
-    p = rr[:, r:] @ rr[:, :r].conj().T
-    return 1j * (p - p.conj().T), q
-
-
-def _trace_norm_gradient(site, f: np.ndarray, n: int, l: int) -> np.ndarray:
-    """``sum_i tr_{not i} i(rho w - w rho)``, w the sign factor of ``i[abar, rho]``.
-
-    With ``Y = w F``, ``rho w - w rho = F Y^dag - Y F^dag``, and each site's
-    partial trace of ``F Y^dag`` is one contraction of F and Y over every
-    other axis, so no d x d product is formed.
-    """
-    return _gradient_on_range(*_commutator_on_range(site, f), f, n, l)
-
-
-def _gradient_on_range(h: np.ndarray, q: np.ndarray, f: np.ndarray, n: int, l: int) -> np.ndarray:
-    """``_trace_norm_gradient`` from ``(h, q) = _commutator_on_range(site, f)``."""
-    eig, vec = np.linalg.eigh(h)
-    vec = q @ vec
-    y = (vec * _subgradient_sign(eig)) @ (vec.conj().T @ f)
-    ft = f.reshape((l,) * n + (-1,))
-    yt = y.conj().reshape((l,) * n + (-1,))
-    grad = np.zeros((l, l), dtype=complex)
-    for i in range(n):
-        others = [a for a in range(n + 1) if a != i]
-        p = np.tensordot(ft, yt, axes=(others, others))
-        grad += 1j * (p - p.conj().T)
-    return grad
-
-
-def _estimate_general(m, n, l, restarts, max_iter, tol, seed):
-    rng = np.random.default_rng(seed)
-    f = _range_factor(m)
-
-    def evaluate(c):
-        """The trace norm at c and the ``(h, q)`` it came from, kept for the gradient."""
-        h, q = _commutator_on_range(SiteObservable(c), f)
-        return _hermitian_trace_norm(h), (h, q)
-
-    best_c = None
-    best = -1.0
     iterations = 0
-    for _ in range(max(restarts, 1)):
-        c = random_site_observable(l, rng).matrix
-        value, range_pair = evaluate(c)
-        for _ in range(max_iter):
-            iterations += 1
-            grad = _project_traceless(_gradient_on_range(*range_pair, f, n, l)) / n
-            if linalg.operator_norm(grad) < tol:
+    for _ in range(max_iter):
+        iterations += 1
+        grad = np.tensordot(_coordinate_gradient(c, basis, h), basis, axes=1)
+        if linalg.operator_norm(grad) < tol:
+            break
+        step = 1.0
+        improved = False
+        while step > 1e-7:
+            cand = _normalize_spread(c + step * grad)
+            val_c = _hermitian_trace_norm(_on_range(cand, basis, h))
+            if val_c > value + 1e-15:
+                c, value = cand, val_c
+                improved = True
                 break
-            step = 1.0
-            improved = False
-            while step > 1e-7:
-                cand = _normalize_spread(_project_traceless(c + step * grad))
-                val_c, pair_c = evaluate(cand)
-                if val_c > value + 1e-15:
-                    c, value, range_pair = cand, val_c, pair_c
-                    improved = True
-                    break
-                step /= 2
-            if not improved:
+            step /= 2
+        if not improved:
+            break
+    return c, value, iterations
+
+
+def _search(m, n, l, restarts, grid_size, max_iter, tol, seed):
+    """Ascend from the ceiling-ordered grid (qubits) or from seeded random
+    starts (l > 2); returns (site, iterations, var_value).
+
+    A Bloch direction v has coordinates ``c = v / sqrt 2`` and the ceiling
+    ``2 sqrt(c^T C c)`` (``C = 2 M``), so no grid candidate skipped once the
+    ceilings fall below the best value could have beaten it, and a best value
+    at ``2 sqrt(lambda_max(M))`` is the global maximum: no ascent runs.
+    """
+    f = _range_factor(m)
+    basis = _traceless_basis(l)
+    gs = _basis_images(f, n, basis)
+    h, _ = _range_coordinates(f, gs)
+    var_value = None
+    if l == 2:
+        cov = _coordinate_covariance(f, gs)
+        eig, vec = np.linalg.eigh(cov)
+        var_value = max(float(eig[-1]), 0.0) / 2
+        ceiling_max = 2.0 * math.sqrt(var_value)
+        grid = np.vstack([fibonacci_sphere(grid_size), vec[:, -1], -vec[:, -1]]) / math.sqrt(2)
+        ceilings = 2.0 * np.sqrt(np.clip(np.einsum("ia,ab,ib->i", grid, cov, grid), 0.0, None))
+        best, start = -1.0, None
+        for idx in np.argsort(-ceilings, kind="stable"):
+            if ceilings[idx] < best - CEILING_SLACK:
                 break
+            value = _hermitian_trace_norm(np.tensordot(grid[idx], h, axes=1))
+            if value > best:
+                best, start = value, np.tensordot(grid[idx], basis, axes=1)
+            if best >= ceiling_max - CEILING_SLACK:
+                return SiteObservable(start), 0, var_value
+        starts = [(start, best)]
+    else:
+        rng = np.random.default_rng(seed)
+        starts = [random_site_observable(l, rng).matrix for _ in range(restarts)]
+        starts = [(c, _hermitian_trace_norm(_on_range(c, basis, h))) for c in starts]
+    best, best_c, iterations = -1.0, None, 0
+    for c, value in starts:
+        c, value, steps = _ascend(c, value, h, basis, max_iter, tol)
+        iterations += steps
         if value > best:
             best, best_c = value, c
-    return SiteObservable(best_c), iterations
+    return SiteObservable(best_c), iterations, var_value
 
 
 def estimate_e(
@@ -521,24 +513,24 @@ def estimate_e(
     Deterministic given ``seed``.  For pure qubit states the report also
     carries the exact upper bound ``2 sqrt(max variance)`` (the functional
     equals that bound on pure states, so the qubit search certifies it and
-    reports ``iterations = 0``).
+    reports ``iterations = 0``).  Raises ValueError naming the setting unless
+    ``restarts >= 1``, ``grid_size >= 0``, ``max_iter >= 0`` and ``tol >= 0``.
     """
+    for name, value, least in (("restarts", restarts, 1), ("grid_size", grid_size, 0),
+                               ("max_iter", max_iter, 0), ("tol", tol, 0)):
+        if not value >= least:  # also rejects a NaN tol
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     state = to_density(rho)
     m = state.matrix
-    n, l = state.n, state.l
-    if l == 2:
-        site, iterations, var_value = _estimate_qubit(m, n, grid_size, max_iter, tol)
-        restarts_used = 1
-    else:
-        site, iterations = _estimate_general(m, n, l, restarts, max_iter, tol, seed)
-        restarts_used = max(restarts, 1)
-        var_value = None
+    site, iterations, var_value = _search(
+        m, state.n, state.l, restarts, grid_size, max_iter, tol, seed
+    )
     # The dense trace norm at the maximizer, so no shortcut of the search
     # (the range factor's cutoff included) enters the reported value.
     value, witness = commutator_witness(site, m)
     variance_bound = None
-    if l == 2 and abs(state.purity() - 1.0) <= PURITY_ATOL:
-        variance_bound = 2.0 * math.sqrt(max(var_value, 0.0))
+    if state.l == 2 and abs(state.purity() - 1.0) <= PURITY_ATOL:
+        variance_bound = 2.0 * math.sqrt(var_value)
         if value > variance_bound + 1e-8:
             raise RuntimeError(
                 f"achieved value {value} exceeds the pure-state bound {variance_bound}"
@@ -548,7 +540,7 @@ def estimate_e(
         maximizer=site,
         dual_b=witness,
         variance_bound=variance_bound,
-        restarts_used=restarts_used,
+        restarts_used=1 if state.l == 2 else restarts,
         iterations=iterations,
     )
 
@@ -628,5 +620,6 @@ def check_uncertainty_bound(
 def random_site_observable(l: int, rng: np.random.Generator) -> SiteObservable:
     """Random traceless Hermitian site observable, normalized to spread 1."""
     g = rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l))
-    c = _normalize_spread(_project_traceless((g + g.conj().T) / 2))
+    g = (g + g.conj().T) / 2
+    c = _normalize_spread(g - (np.trace(g) / l) * np.eye(l))
     return SiteObservable(c)

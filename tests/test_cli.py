@@ -78,6 +78,13 @@ class TestSimulate:
     def test_missing_file_exits_2(self, capsys):
         assert main(["simulate", "no_such_file.qnet"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_tol_exits_2(self, capsys, empty_circuit, tol):
+        assert main(["simulate", empty_circuit, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert "tol must" in captured.err
+        assert captured.out == ""
+
     def test_product_and_state_out(self, tmp_path, capsys, empty_circuit):
         out_state = tmp_path / "state.json"
         code, report = run_json(
@@ -200,6 +207,20 @@ class TestErho:
         path.write_text(states.state_to_json(states.basis_state(1, 2)))
         assert main(["erho", str(path)]) == 3
         assert "internal error: RuntimeError: estimator fault" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--restarts", "0"], "restarts"),
+        (["--restarts", "-2"], "restarts"),
+        (["--grid-size", "-3"], "grid_size"),
+        (["--max-iter", "-1"], "max_iter"),
+        (["--tol", "nan"], "tol"),
+        (["--tol", "-1"], "tol"),
+    ])
+    def test_invalid_search_setting_exits_2(self, capsys, qutrit_state_file, flags, field):
+        assert main(["erho", qutrit_state_file, *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must" in captured.err
+        assert captured.out == ""
 
 
 class TestVerify:

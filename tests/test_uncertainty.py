@@ -147,8 +147,57 @@ class TestRangeFactor:
         w = (vec * uncertainty._subgradient_sign(eig)) @ vec.conj().T
         lifted = 1j * (m @ w - w @ m)
         dense_grad = sum(reduce_to_site(lifted, i, n, l) for i in range(1, n + 1))
-        grad = uncertainty._trace_norm_gradient(site, f, n, l)
-        assert np.max(np.abs(grad - dense_grad)) <= 1e-12
+        basis = uncertainty._traceless_basis(l)
+        stack, _ = uncertainty._range_coordinates(f, uncertainty._basis_images(f, n, basis))
+        grad = uncertainty._coordinate_gradient(site.matrix, basis, stack)
+        dense_coords = np.real(np.einsum("aij,ji->a", basis, dense_grad)) / n
+        assert np.max(np.abs(grad - dense_coords)) <= 1e-12
+
+    @pytest.mark.parametrize("n, l", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_coordinates_match_dense(self, n, l, rank):
+        # One QR gives every basis direction: value, subgradient and covariance
+        # of any site observable are read from the stack h_a.
+        rng = np.random.default_rng(60 + 10 * l + (rank or 0))
+        rho = random_density_state(n, l, rng, rank=rank)
+        m = rho.matrix
+        f = uncertainty._range_factor(m)
+        basis = uncertainty._traceless_basis(l)
+        assert np.allclose(np.einsum("aij,bji->ab", basis, basis), np.eye(l * l - 1), atol=1e-15)
+        gs = uncertainty._basis_images(f, n, basis)
+        stack, _ = uncertainty._range_coordinates(f, gs)
+        k = min(l * l * f.shape[1], l**n)
+        assert stack.shape == (l * l - 1, k, k)
+        cov = uncertainty._coordinate_covariance(f, gs)
+        for _ in range(3):
+            site = random_site_observable(l, rng)
+            coords = np.real(np.einsum("aij,ji->a", basis, site.matrix))
+            a = averaging_matrix(site, n)
+            eig, vec = np.linalg.eigh(1j * (a @ m - m @ a))
+            value = np.sum(np.abs(np.linalg.eigvalsh(np.tensordot(coords, stack, axes=1))))
+            assert value == pytest.approx(np.sum(np.abs(eig)), abs=1e-12)
+            w = (vec * uncertainty._subgradient_sign(eig)) @ vec.conj().T
+            dense_grad = sum(reduce_to_site(1j * (m @ w - w @ m), i, n, l) for i in range(1, n + 1))
+            grad = uncertainty._coordinate_gradient(site.matrix, basis, stack)
+            expect = np.real(np.einsum("aij,ji->a", basis, dense_grad)) / n
+            assert np.max(np.abs(grad - expect)) <= 1e-12
+            assert coords @ cov @ coords == pytest.approx(variance(a, rho), abs=1e-12)
+
+    def test_one_qr_per_call(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        rng = np.random.default_rng(49)
+        for rho in (random_density_state(3, 2, rng), random_density_state(2, 3, rng, rank=2)):
+            shapes.clear()
+            report = estimate_e(rho, restarts=3)
+            assert report.iterations > 0
+            assert len(shapes) == 1
 
     def test_cutoff_drops_small_negative_eigenvalue(self):
         rng = np.random.default_rng(47)
