@@ -74,6 +74,7 @@ from .measurement import (
     conjugated_strong_measure,
     conjugated_strong_measure_exact,
     is_product_projection,
+    parity_measure_exact,
     projection_bound,
     sample_outcome,
     spectral_decompose,

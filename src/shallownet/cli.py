@@ -29,6 +29,9 @@ from .dsl import CircuitParseError
 from .linalg import SIGMA_X, SIGMA_Z, tensor
 
 JSON_KW = {"sort_keys": True, "indent": 2}
+# Largest state dimension for which erho writes the d x d witness (a 4096 x 4096
+# complex matrix is 256 MiB before its eigendecomposition).
+WITNESS_MAX_DIM = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,6 @@ def cmd_simulate(args) -> int:
     })
     net = _load_circuit(args.circuit)
     state = _state_after(net, opts["input"])
-    rho = states.to_density(state)
     report = {
         "version": __version__,
         "config": {"circuit": args.circuit, **opts},
@@ -189,17 +191,17 @@ def cmd_simulate(args) -> int:
         "depth": net.depth,
         "canonical_depth": network.canonical_depth(net),
         "kind": "pure" if isinstance(state, states.PureState) else "density",
-        "purity": rho.purity(),
+        "purity": state.purity(),
     }
-    estimate = uncertainty.estimate_e(rho, seed=opts["seed"], tol=opts["tol"])
+    estimate = uncertainty.estimate_e(state, seed=opts["seed"], tol=opts["tol"])
     report["e_lower"] = estimate.e_lower
     if net.l == 2:
-        report["fidelity_to_cat"] = states.fidelity(rho, states.cat_state(net.n))
+        report["fidelity_to_cat"] = states.fidelity(state, states.cat_state(net.n))
         paulis = {"x": uncertainty.SiteObservable(np.array([[0, 0.5], [0.5, 0]])),
                   "y": uncertainty.SiteObservable(np.array([[0, -0.5j], [0.5j, 0]])),
                   "z": uncertainty.SiteObservable(np.array([[0.5, 0], [0, -0.5]]))}
         report["variance"] = {
-            axis: uncertainty.variance(c, rho)
+            axis: uncertainty.variance(c, state)
             for axis, c in paulis.items()
         }
     if args.state_out:
@@ -225,9 +227,11 @@ def cmd_erho(args) -> int:
         "input": (str, "zeros"),
     })
     state, source = _load_state(args)
-    rho = states.to_density(state)
+    if args.witness_out and state.dim > WITNESS_MAX_DIM:
+        raise ValueError(f"--witness-out writes a d x d matrix; d = {state.dim} exceeds "
+                         f"{WITNESS_MAX_DIM}")
     result = uncertainty.estimate_e(
-        rho,
+        state,
         restarts=opts["restarts"],
         grid_size=opts["grid_size"],
         max_iter=opts["max_iter"],
@@ -237,12 +241,13 @@ def cmd_erho(args) -> int:
     report = {
         "version": __version__,
         "config": {**source, **opts},
-        "n": rho.n,
-        "l": rho.l,
+        "n": state.n,
+        "l": state.l,
         **result.to_dict(),
     }
     if args.witness_out:
-        witness = {"dual_b": [[z.real, z.imag] for z in result.dual_b.reshape(-1)]}
+        _, dual_b = uncertainty.commutator_witness(result.maximizer, state)
+        witness = {"dual_b": [[z.real, z.imag] for z in dual_b.reshape(-1)]}
         with open(args.witness_out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(witness, **JSON_KW))
         report["witness_ref"] = args.witness_out
@@ -359,9 +364,8 @@ def cmd_depthbound(args) -> int:
 
 def _measure_records(args, opts) -> list:
     state, _ = _load_state(args)
-    rho = states.to_density(state)
-    n = rho.n
-    if rho.l != 2:
+    n = state.n
+    if state.l != 2:
         raise ValueError("measurement modes are defined for local dimension 2")
     observable = opts["observable"]
     mode = opts["mode"]
@@ -374,12 +378,14 @@ def _measure_records(args, opts) -> list:
 
     def exact_outcomes():
         if mode == "weak":
-            return measurement.weak_measure_product_exact(rho, [pauli] * n)
+            return measurement.weak_measure_product_exact(state, [pauli] * n)
         if mode == "strong":
+            if isinstance(state, states.PureState):
+                return measurement.parity_measure_exact(state, pauli)
             parity = measurement.spectral_decompose(tensor(*([pauli] * n)))
-            return measurement.strong_measure_exact(rho, parity)
+            return measurement.strong_measure_exact(state, parity)
         return measurement.conjugated_strong_measure_exact(
-            rho, measurement.build_parity_conjugator(n)
+            state, measurement.build_parity_conjugator(n)
         )
 
     def record(o, seed) -> dict:
@@ -395,7 +401,7 @@ def _measure_records(args, opts) -> list:
         sub = sweeps.trial_seed(opts["seed"], shot)
         rng = np.random.default_rng(sub)
         if outcomes is None:
-            o = measurement.weak_measure_product(rho, [pauli] * n, rng=rng)
+            o = measurement.weak_measure_product(state, [pauli] * n, rng=rng)
         else:
             o = measurement.sample_outcome(outcomes, rng)
         records.append(record(o, sub))
@@ -469,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     erho.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     erho.add_argument("--tol", type=float, default=None)
     erho.add_argument("--witness-out",
-                      help="also write the d x d witness dual_b (JSON) here")
+                      help="also build the d x d witness dual_b and write it (JSON) here; "
+                           f"refused above d = {WITNESS_MAX_DIM}")
     _add_common(erho)
     erho.set_defaults(func=cmd_erho)
 

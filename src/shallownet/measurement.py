@@ -12,7 +12,9 @@ Every procedure has an exact twin listing each outcome with its probability
 and post state.  The strong and conjugated samplers draw from their twin
 (``sample_outcome``); the weak sampler walks one branch site by site, since
 its twin has up to l^n leaves.  Samplers take an explicit numpy Generator
-and are deterministic given it.
+and are deterministic given it.  Every procedure takes a PureState or a
+DensityState; a PureState stays a vector (projectors act on its amplitudes,
+site projectors on one axis of them) and its post states are PureStates.
 
 The measurement depth bound ``||[abar, A*(P)]|| <= 2^k / sqrt(2n)`` is checked
 on the range of the propagated projection, never on a d x d operand: a
@@ -35,9 +37,9 @@ from . import linalg
 from .linalg import SIGMA_X
 from .network import (
     CNOT, LocalChannel, Network, Step, _apply_unitary_block, _conjugate_by_channels, apply,
-    invert_unitary,
+    apply_pure, invert_unitary,
 )
-from .states import DensityState, to_density
+from .states import DensityState, PureState
 from .uncertainty import SiteObservable, _commutator_on_range
 
 PROJECTOR_ATOL = 1e-10
@@ -116,7 +118,7 @@ def parity_x_decomposition(n: int) -> SpectralDecomposition:
 class MeasurementOutcome:
     value: float
     probability: float
-    post_state: DensityState | None
+    post_state: PureState | DensityState | None
 
 
 def _sites_of(dim: int, l: int) -> int:
@@ -126,20 +128,76 @@ def _sites_of(dim: int, l: int) -> int:
     return n
 
 
+def _state_array(rho) -> np.ndarray:
+    """The amplitudes of a PureState, the matrix of a DensityState.
+
+    The measurement kernels below act on this array: a length-d vector stays
+    a vector, and its post states come back as PureStates.
+    """
+    return rho.amplitudes if isinstance(rho, PureState) else rho.matrix
+
+
+def _weight(x: np.ndarray) -> float:
+    """Probability carried by an unnormalized post state: ||psi||^2 or tr(rho)."""
+    return float(np.vdot(x, x).real) if x.ndim == 1 else float(np.real(np.trace(x)))
+
+
+def _post_state(x: np.ndarray, p: float, n: int, l: int):
+    """The unnormalized post state x of weight p, normalized."""
+    if x.ndim == 1:
+        return PureState(n, l, x / math.sqrt(p))
+    return DensityState(n, l, x / p)
+
+
+def _collapse_site(x: np.ndarray, q: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
+    """A site projector q applied to a state array: ``q psi`` on one axis of a
+    vector, ``q rho q^dag`` on one row and one column axis of a matrix."""
+    if x.ndim == 1:
+        return linalg.act_local(q, [site - 1], x.reshape((l,) * n), l).reshape(-1)
+    return _conjugate_by_channels(x, [((site,), np.kron(q, q.conj()))], n, l)
+
+
 def strong_measure_exact(rho, dec: SpectralDecomposition) -> list:
-    """Full outcome distribution with projected post states."""
-    state = to_density(rho)
-    if state.dim != dec.dim:
-        raise ValueError(f"state dimension {state.dim} vs decomposition {dec.dim}")
+    """Full outcome distribution with projected post states (PureStates for a
+    PureState input)."""
+    x = _state_array(rho)
+    if x.shape[0] != dec.dim:
+        raise ValueError(f"state dimension {x.shape[0]} vs decomposition {dec.dim}")
     outcomes = []
     for value, proj in zip(dec.eigenvalues, dec.projectors):
-        p = float(np.vdot(proj, state.matrix).real)
+        y = proj @ x
+        p = _weight(y) if x.ndim == 1 else float(np.vdot(proj, x).real)
         if p <= PROBABILITY_FLOOR:
             continue
-        post = proj @ state.matrix @ proj / p
-        outcomes.append(MeasurementOutcome(value, p, DensityState(state.n, state.l, post)))
+        post = y if x.ndim == 1 else y @ proj
+        outcomes.append(MeasurementOutcome(value, p, _post_state(post, p, rho.n, rho.l)))
     if not outcomes:
         raise ValueError("decomposition assigns no probability to this state")
+    return outcomes
+
+
+def parity_measure_exact(psi: PureState, pauli: np.ndarray) -> list:
+    """Strong measurement of the parity ``P^{(x)n}`` on a state vector, P a
+    Hermitian single-site involution (``sigma_x`` or ``sigma_z``).
+
+    The projectors are ``(I -+ P^{(x)n}) / 2``, so ``P^{(x)n} psi`` (n local
+    actions) gives both branches ``(psi -+ P^{(x)n} psi) / 2`` with no d x d
+    matrix.  Outcomes come in the order of ``strong_measure_exact`` (-1, then +1).
+    """
+    p_site = linalg.require_hermitian(pauli)
+    if not np.allclose(p_site @ p_site, np.eye(p_site.shape[0]), atol=PROJECTOR_ATOL, rtol=0.0):
+        raise ValueError("the parity's site operator must square to the identity")
+    n, l = psi.n, psi.l
+    t = psi.amplitudes.reshape((l,) * n)
+    for i in range(n):
+        t = linalg.act_local(p_site, [i], t, l)
+    flipped = t.reshape(-1)
+    outcomes = []
+    for value in (-1.0, 1.0):
+        y = (psi.amplitudes + value * flipped) / 2
+        p = _weight(y)
+        if p > PROBABILITY_FLOOR:
+            outcomes.append(MeasurementOutcome(value, p, _post_state(y, p, n, l)))
     return outcomes
 
 
@@ -163,16 +221,16 @@ class WeakOutcome:
     site_outcomes: tuple
     probability: float
     combined_value: float
-    post_state: DensityState | None
+    post_state: PureState | DensityState | None
 
 
 def _weak_setup(rho, site_observables, post_fn):
-    """The state, each site's spectral decomposition, and an outcome-record builder.
+    """The state array, each site's spectral decomposition, and an outcome-record builder.
 
     Equal site observables share one decomposition: the CLI passes one Pauli
     for every site.
     """
-    state = to_density(rho)
+    x = _state_array(rho)
     decs, distinct = [], {}
     for a in site_observables:
         m = linalg.require_hermitian(a)
@@ -180,15 +238,23 @@ def _weak_setup(rho, site_observables, post_fn):
         if key not in distinct:
             distinct[key] = spectral_decompose(m)
         decs.append(distinct[key])
-    if len(decs) != state.n:
-        raise ValueError(f"need {state.n} site observables, got {len(decs)}")
-    combine = post_fn if post_fn is not None else (lambda x: x)
+    if len(decs) != rho.n:
+        raise ValueError(f"need {rho.n} site observables, got {len(decs)}")
+    combine = post_fn if post_fn is not None else (lambda v: v)
 
-    def record(values: tuple, p: float, post: np.ndarray) -> WeakOutcome:
+    def record(values: tuple, p: float, post: np.ndarray, weight: float) -> WeakOutcome:
         combined = float(combine(float(np.prod(values))))
-        return WeakOutcome(values, p, combined, DensityState(state.n, state.l, post))
+        return WeakOutcome(values, p, combined, _post_state(post, weight, rho.n, rho.l))
 
-    return state, decs, record
+    return x, decs, record
+
+
+def _site_marginal(x: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
+    """The l x l reduced state of one site of a state array."""
+    if x.ndim == 1:
+        t = x.reshape(l ** (site - 1), l, -1)
+        return np.einsum("aib,ajb->ij", t, t.conj())
+    return linalg.reduce_to_site(x, site, n, l)
 
 
 def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
@@ -196,22 +262,23 @@ def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
 
     The combined value is ``post_fn`` applied to the product of the site
     outcomes (identity by default), matching the spectrum of the product
-    observable built from the same site operators.
+    observable built from the same site operators.  A PureState input walks
+    its amplitudes and gives PureState post states.
     """
-    state, decs, record = _weak_setup(rho, site_observables, post_fn)
+    x, decs, record = _weak_setup(rho, site_observables, post_fn)
+    n, l = rho.n, rho.l
     outcomes: list[WeakOutcome] = []
 
     def walk(site: int, m: np.ndarray, values: tuple):
-        if site == state.n:
-            p = float(np.real(np.trace(m)))
+        if site == n:
+            p = _weight(m)
             if p > PROBABILITY_FLOOR:
-                outcomes.append(record(values, p, m / p))
+                outcomes.append(record(values, p, m, p))
             return
         for value, q in zip(decs[site].eigenvalues, decs[site].projectors):
-            collapse = [((site + 1,), np.kron(q, q.conj()))]
-            walk(site + 1, _conjugate_by_channels(m, collapse, state.n, state.l), values + (value,))
+            walk(site + 1, _collapse_site(m, q, site + 1, n, l), values + (value,))
 
-    walk(0, state.matrix, ())
+    walk(0, x, ())
     return outcomes
 
 
@@ -219,20 +286,19 @@ def weak_measure_product(rho, site_observables, post_fn=None, rng: np.random.Gen
     """Sample site-by-site, collapsing as measurements proceed."""
     if rng is None:
         raise ValueError("weak_measure_product needs a random generator")
-    state, decs, record = _weak_setup(rho, site_observables, post_fn)
-    n, l = state.n, state.l
-    current, joint, values = state.matrix, 1.0, ()
+    current, decs, record = _weak_setup(rho, site_observables, post_fn)
+    n, l = rho.n, rho.l
+    joint, values = 1.0, ()
     for site, dec in enumerate(decs, start=1):
-        marginal = linalg.reduce_to_site(current, site, n, l)
+        marginal = _site_marginal(current, site, n, l)
         probs = np.array([max(float(np.real(np.trace(q @ marginal))), 0.0) for q in dec.projectors])
         probs /= probs.sum()
         idx = int(rng.choice(len(probs), p=probs))
         joint *= float(probs[idx])
         values += (dec.eigenvalues[idx],)
-        q = dec.projectors[idx]
-        current = _conjugate_by_channels(current, [((site,), np.kron(q, q.conj()))], n, l)
-        current /= probs[idx]
-    return record(values, joint, current)
+        current = _collapse_site(current, dec.projectors[idx], site, n, l)
+        current /= probs[idx] if current.ndim == 2 else math.sqrt(probs[idx])
+    return record(values, joint, current, 1.0)
 
 
 def combined_value_distribution(outcomes) -> dict:
@@ -347,22 +413,28 @@ def conjugated_strong_measure_exact(rho, conjugator: Network) -> list:
     Rotates into the frame where the parity is a single-site observable
     (adjoint direction of the conjugator), collapses the last site onto each
     eigenspace of sigma_x, and rotates back; the outcome law equals direct
-    strong measurement of the parity observable.
+    strong measurement of the parity observable.  A PureState stays a vector:
+    the inverse gates act on its amplitudes, the collapse on one axis, and
+    ``apply_pure`` rotates each post state back.
     """
-    state = to_density(rho)
-    if (state.n, state.l) != (conjugator.n, conjugator.l) or state.l != 2:
+    if (rho.n, rho.l) != (conjugator.n, conjugator.l) or rho.l != 2:
         raise ValueError("state and conjugator must be qubit systems of one shape")
     if not conjugator.is_unitary():
         raise ValueError("conjugator network must be unitary")
-    n = state.n
-    rotated = apply(invert_unitary(conjugator), state).matrix
+    n = rho.n
+    pure = isinstance(rho, PureState)
+    inverse = invert_unitary(conjugator)
+    if pure:
+        rotated = _apply_unitary_block(inverse, rho.amplitudes)
+    else:
+        rotated = apply(inverse, rho).matrix
     outcomes = []
     for value in (-1.0, 1.0):
-        q = (np.eye(2) + value * SIGMA_X) / 2
-        m = _conjugate_by_channels(rotated, [((n,), np.kron(q, q.conj()))], n, 2)
-        p = float(np.real(np.trace(m)))
+        m = _collapse_site(rotated, (np.eye(2) + value * SIGMA_X) / 2, n, n, 2)
+        p = _weight(m)
         if p > PROBABILITY_FLOOR:
-            post = apply(conjugator, DensityState(n, 2, m / p))
+            post = _post_state(m, p, n, 2)
+            post = apply_pure(conjugator, post) if pure else apply(conjugator, post)
             outcomes.append(MeasurementOutcome(value, p, post))
     return outcomes
 

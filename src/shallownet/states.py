@@ -56,6 +56,10 @@ class PureState:
     def dim(self) -> int:
         return self.l**self.n
 
+    def purity(self) -> float:
+        """tr(rho^2) of rho = psi psi^dag, as ||psi||^4."""
+        return float(np.vdot(self.amplitudes, self.amplitudes).real) ** 2
+
     def density(self) -> "DensityState":
         return DensityState(self.n, self.l, np.outer(self.amplitudes, self.amplitudes.conj()))
 

@@ -7,12 +7,14 @@ Values of order 1 mean the state carries quantum uncertainty in a macroscopic
 depth-k network can raise the value by at most ``2^k``.
 
 ``estimate_e`` reports a certified lower bound: ``e_lower`` is the trace norm
-of the dense ``[abar, rho]`` at the reported maximizer, computed once the
-search has ended, so no shortcut of the search enters it.  The search is one
-ascent for every local dimension, run on coordinates of the commutator over
-the state's range.  With ``rho = F F^dag`` (r columns, one ``eigh`` per call)
-and ``lambda_a`` a trace-orthonormal basis of the traceless Hermitian site
-matrices, one reduced QR of ``[F, abar(lambda_1) F, ...]`` gives k x k
+of ``[abar, rho]`` at the reported maximizer on the whole state (the spectrum
+of the dense commutator for a density matrix, the 2 x 2 range spectrum of
+``commutator_trace_norm`` for a state vector), computed once the search has
+ended, so no shortcut of the search enters it.  The search is one ascent for
+every local dimension, run on coordinates of the commutator over the state's
+range.  With ``rho = F F^dag`` (r columns: ``psi`` itself for a state vector,
+one ``eigh`` of a density matrix) and ``lambda_a`` a trace-orthonormal basis
+of the traceless Hermitian site matrices, one reduced QR of ``[F, abar(lambda_1) F, ...]`` gives k x k
 Hermitian ``h_a``, ``k = min(l^2 r, d)``, with ``||[abar(c), rho]||_1 =
 ||sum_a c_a h_a||_1``; each candidate costs one k x k spectrum and each
 subgradient is ``tr(w h_a)``.  Qubits start from a deterministic Fibonacci
@@ -50,7 +52,7 @@ import numpy as np
 from . import linalg
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .network import Network, apply, apply_pure
-from .states import PureState, SeparableInput, density_matrix, mix, to_density
+from .states import PureState, SeparableInput, density_matrix, mix
 
 SPREAD_ATOL = 1e-10
 PURITY_ATOL = 1e-8
@@ -168,11 +170,21 @@ def _commutator(abar, h: np.ndarray) -> np.ndarray:
 
 
 def variance(abar, rho) -> float:
-    """tr(abar^2 rho) - tr(abar rho)^2, clamped to be nonnegative."""
-    m = density_matrix(rho)
-    y = _abar_times(abar, m)
-    mean = float(np.real(np.trace(y)))
-    second = float(np.real(np.trace(_abar_times(abar, y))))
+    """tr(abar^2 rho) - tr(abar rho)^2, clamped to be nonnegative.
+
+    A PureState stays a vector: the traces are ``<psi, abar psi>`` and
+    ``<psi, abar abar psi>``.
+    """
+    if isinstance(rho, PureState):
+        psi = rho.amplitudes[:, None]
+        y = _abar_times(abar, psi)
+        mean = float(np.vdot(psi, y).real)
+        second = float(np.vdot(psi, _abar_times(abar, y)).real)
+    else:
+        m = density_matrix(rho)
+        y = _abar_times(abar, m)
+        mean = float(np.real(np.trace(y)))
+        second = float(np.real(np.trace(_abar_times(abar, y))))
     v = second - mean * mean
     if v < -1e-9:
         raise ValueError(f"variance {v} is negative beyond numerical tolerance")
@@ -374,14 +386,11 @@ class MacroUncertaintyReport:
 
     e_lower: float
     maximizer: SiteObservable
-    dual_b: np.ndarray
     variance_bound: float | None
     restarts_used: int
     iterations: int
 
     def to_dict(self) -> dict:
-        """Every field but the d x d ``dual_b``; ``erho --witness-out`` writes that
-        to a file of its own."""
         return {
             "e_lower": self.e_lower,
             "maximizer": [[z.real, z.imag] for z in self.maximizer.matrix.reshape(-1)],
@@ -455,16 +464,16 @@ def _ascend(c, value, h, basis, max_iter, tol):
     return c, value, iterations
 
 
-def _search(m, n, l, restarts, grid_size, max_iter, tol, seed):
-    """Ascend from the ceiling-ordered grid (qubits) or from seeded random
-    starts (l > 2); returns (site, iterations, var_value).
+def _search(f, n, l, restarts, grid_size, max_iter, tol, seed):
+    """Ascend on the range factor f (rho = F F^dag) from the ceiling-ordered
+    grid (qubits) or from seeded random starts (l > 2); returns (site,
+    iterations, var_value).
 
     A Bloch direction v has coordinates ``c = v / sqrt 2`` and the ceiling
     ``2 sqrt(c^T C c)`` (``C = 2 M``), so no grid candidate skipped once the
     ceilings fall below the best value could have beaten it, and a best value
     at ``2 sqrt(lambda_max(M))`` is the global maximum: no ascent runs.
     """
-    f = _range_factor(m)
     basis = _traceless_basis(l)
     gs = _basis_images(f, n, basis)
     h, _ = _range_coordinates(f, gs)
@@ -513,23 +522,24 @@ def estimate_e(
     Deterministic given ``seed``.  For pure qubit states the report also
     carries the exact upper bound ``2 sqrt(max variance)`` (the functional
     equals that bound on pure states, so the qubit search certifies it and
-    reports ``iterations = 0``).  Raises ValueError naming the setting unless
+    reports ``iterations = 0``).  A PureState stays a vector: its range
+    factor is ``psi`` itself and ``e_lower`` the 2 x 2 range spectrum of
+    ``commutator_trace_norm``.  Raises ValueError naming the setting unless
     ``restarts >= 1``, ``grid_size >= 0``, ``max_iter >= 0`` and ``tol >= 0``.
     """
     for name, value, least in (("restarts", restarts, 1), ("grid_size", grid_size, 0),
                                ("max_iter", max_iter, 0), ("tol", tol, 0)):
         if not value >= least:  # also rejects a NaN tol
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    state = to_density(rho)
-    m = state.matrix
+    f = rho.amplitudes[:, None] if isinstance(rho, PureState) else _range_factor(rho.matrix)
     site, iterations, var_value = _search(
-        m, state.n, state.l, restarts, grid_size, max_iter, tol, seed
+        f, rho.n, rho.l, restarts, grid_size, max_iter, tol, seed
     )
-    # The dense trace norm at the maximizer, so no shortcut of the search
-    # (the range factor's cutoff included) enters the reported value.
-    value, witness = commutator_witness(site, m)
+    # The trace norm at the maximizer on the whole state, so no shortcut of
+    # the search (the range factor's cutoff included) enters the reported value.
+    value = commutator_trace_norm(site, rho)
     variance_bound = None
-    if state.l == 2 and abs(state.purity() - 1.0) <= PURITY_ATOL:
+    if rho.l == 2 and abs(rho.purity() - 1.0) <= PURITY_ATOL:
         variance_bound = 2.0 * math.sqrt(var_value)
         if value > variance_bound + 1e-8:
             raise RuntimeError(
@@ -538,9 +548,8 @@ def estimate_e(
     return MacroUncertaintyReport(
         e_lower=value,
         maximizer=site,
-        dual_b=witness,
         variance_bound=variance_bound,
-        restarts_used=1 if state.l == 2 else restarts,
+        restarts_used=1 if rho.l == 2 else restarts,
         iterations=iterations,
     )
 
@@ -595,7 +604,7 @@ def check_uncertainty_bound(
     ``psi = U (x) v_i``, M from the vectors ``S_p psi`` and ``e_lower`` from a
     2 x 2 spectrum, with no d x d matrix.  Every other row runs the network on
     the mixed input's density matrix; a pure row the ceiling cannot settle is
-    searched on ``psi psi^dag``, the same state.
+    searched on the vector too.
     """
     psi = separable.pure_product() if separable.l == 2 and net.is_unitary() else None
     state = apply_pure(net, psi) if psi is not None else apply(net, mix(separable))

@@ -29,6 +29,27 @@ def ladder8(tmp_path):
 
 
 @pytest.fixture()
+def ladder16(tmp_path):
+    path = tmp_path / "ladder16.qnet"
+    path.write_text(serialize(cat_ladder(4, include_prologue=True)))
+    return str(path)
+
+
+@pytest.fixture()
+def witness_calls(monkeypatch):
+    """Every call of ``uncertainty.commutator_witness``, which still runs."""
+    calls = []
+    real = uncertainty.commutator_witness
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(uncertainty, "commutator_witness", spy)
+    return calls
+
+
+@pytest.fixture()
 def qutrit_state_file(tmp_path):
     rho = states.random_density_state(2, 3, np.random.default_rng(5), rank=2)
     path = tmp_path / "qutrits.json"
@@ -169,6 +190,23 @@ class TestErho:
         assert rows[0]["witness_ref"] == str(witness_path)
         assert "dual_b" in json.loads(witness_path.read_text())
 
+
+    def test_witness_built_only_on_request(self, tmp_path, capsys, qutrit_state_file,
+                                           witness_calls):
+        assert main(["erho", qutrit_state_file]) == 0
+        assert len(witness_calls) == 0
+        assert main(["erho", qutrit_state_file, "--witness-out", str(tmp_path / "w.json")]) == 0
+        assert len(witness_calls) == 1
+
+    def test_witness_refused_above_limit(self, tmp_path, capsys, ladder16, witness_calls):
+        witness_path = tmp_path / "witness.json"
+        assert main(["erho", "--circuit", ladder16, "--witness-out", str(witness_path)]) == 2
+        captured = capsys.readouterr()
+        assert "--witness-out" in captured.err
+        assert "d = 65536" in captured.err
+        assert captured.out == ""
+        assert len(witness_calls) == 0
+        assert not witness_path.exists()
 
     @pytest.mark.parametrize("doc, field", [
         ({"l": 2, "kind": "pure", "data": [[1, 0], [0, 0]]}, "'n'"),
@@ -466,6 +504,59 @@ class TestMeasure:
                      "--observable", "parity-z", "--exact"])
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+
+class TestPureStatePath:
+    @pytest.mark.parametrize("n, seed", [(1, 1), (3, 2), (5, 3)])
+    def test_matches_density_file(self, tmp_path, capsys, n, seed):
+        circuit = tmp_path / "net.qnet"
+        circuit.write_text(serialize(random_shallow(n, 2, seed)))
+        zero = states.state_to_dict(states.DensityState(1, 2, np.diag([1.0, 0.0])))
+        zeros_file = tmp_path / "zeros.json"
+        zeros_file.write_text(json.dumps({"terms": [{"weight": 1.0, "factors": [zero] * n}]}))
+        density_file = tmp_path / "out.json"
+        _, pure = run_json(capsys, ["simulate", str(circuit), "--input", "zeros"])
+        _, dense = run_json(capsys, ["simulate", str(circuit), "--input", f"mixture:{zeros_file}",
+                                     "--state-out", str(density_file)])
+        assert (pure["kind"], dense["kind"]) == ("pure", "density")
+        for key in ("purity", "e_lower", "fidelity_to_cat"):
+            assert abs(pure[key] - dense[key]) <= 1e-12
+        for axis in "xyz":
+            assert abs(pure["variance"][axis] - dense["variance"][axis]) <= 1e-12
+        _, pure = run_json(capsys, ["erho", "--circuit", str(circuit), "--input", "zeros"])
+        _, dense = run_json(capsys, ["erho", str(density_file)])
+        for key in ("e_lower", "variance_bound"):
+            assert abs(pure[key] - dense[key]) <= 1e-12
+
+    def test_sixteen_qubit_cat_without_density_matrix(self, monkeypatch, tmp_path, capsys,
+                                                      ladder16):
+        def forbidden(self):
+            raise AssertionError("PureState.density called")
+
+        monkeypatch.setattr(states.PureState, "density", forbidden)
+        _, report = run_json(capsys, ["simulate", ladder16])
+        assert report["kind"] == "pure"
+        assert report["fidelity_to_cat"] == pytest.approx(1.0, abs=1e-10)
+        assert report["e_lower"] == pytest.approx(1.0, abs=1e-9)
+        _, report = run_json(capsys, ["erho", "--circuit", ladder16])
+        assert report["e_lower"] == pytest.approx(1.0, abs=1e-9)
+
+        def records(*flags):
+            assert main(["measure", "--circuit", ladder16, *flags]) == 0
+            return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+        for r in records("--mode", "strong", "--shots", "3", "--seed", "5"):
+            assert r["value"] == 1.0
+            assert r["probability"] == pytest.approx(1.0, abs=1e-10)
+        for r in records("--mode", "weak", "--shots", "3", "--seed", "5"):
+            assert r["value"] == 1.0
+            assert r["probability"] == pytest.approx(2.0**-15, rel=1e-9)
+        posts = tmp_path / "posts"
+        [r] = records("--mode", "conjugated", "--exact", "--states-dir", str(posts))
+        assert r["value"] == 1.0
+        assert r["probability"] == pytest.approx(1.0, abs=1e-10)
+        post = states.state_from_json((posts / "outcome_0.json").read_text())
+        assert states.fidelity(post, states.cat_state(16)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shallownet import linalg, measurement, network, states, uncertainty
 from shallownet.linalg import SIGMA_X, SIGMA_Z, embed, tensor
@@ -13,6 +15,7 @@ from shallownet.measurement import (
     conjugated_strong_measure,
     conjugated_strong_measure_exact,
     is_product_projection,
+    parity_measure_exact,
     parity_x_decomposition,
     projection_bound,
     random_product_projection,
@@ -153,7 +156,7 @@ class TestWeakMeasure:
             assert o.post_state.purity() == pytest.approx(1.0, abs=1e-9)
             kets = [KET0 + s * KET1 for s in o.site_outcomes]
             expect = to_density(product_state([k / np.linalg.norm(k) for k in kets]))
-            assert np.allclose(o.post_state.matrix, expect.matrix, atol=1e-9)
+            assert np.allclose(states.density_matrix(o.post_state), expect.matrix, atol=1e-9)
 
     def test_statistics_match_strong(self):
         rng = np.random.default_rng(34)
@@ -201,11 +204,80 @@ class TestWeakMeasure:
         n = 4
         outs = weak_measure_product_exact(cat_state(n), [SIGMA_X] * n)
         ensemble = DensityState(
-            n, 2, sum(o.probability * o.post_state.matrix for o in outs)
+            n, 2, sum(o.probability * states.density_matrix(o.post_state) for o in outs)
         )
         assert estimate_e(ensemble).e_lower <= np.sqrt(2 / n) + 1e-6
         strong_post = strong_measure_exact(zeros(n), parity_x_decomposition(n))[1].post_state
         assert estimate_e(strong_post).e_lower == pytest.approx(1.0, abs=1e-6)
+
+
+def assert_same_outcomes(pure, dense):
+    """Records of a PureState input against those of its density matrix."""
+    def key(o):
+        return o.site_outcomes if isinstance(o, measurement.WeakOutcome) else o.value
+
+    assert [key(o) for o in pure] == [key(d) for d in dense]
+    for o, d in zip(pure, dense):
+        assert isinstance(o.post_state, PureState)
+        assert isinstance(d.post_state, DensityState)
+        assert abs(o.probability - d.probability) <= 1e-12
+        assert np.allclose(states.density_matrix(o.post_state), d.post_state.matrix,
+                           atol=1e-10, rtol=0.0)
+
+
+def random_site_observables(n, rng):
+    out = []
+    for _ in range(n):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        out.append((g + g.conj().T) / 2)
+    return out
+
+
+class TestPureMatchesDensity:
+    """A PureState walks its amplitudes; its density matrix takes the dense path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_weak_exact(self, n, seed):
+        rng = np.random.default_rng(seed)
+        psi = states.random_pure_state(n, 2, rng)
+        obs = random_site_observables(n, rng)
+        assert_same_outcomes(weak_measure_product_exact(psi, obs),
+                             weak_measure_product_exact(psi.density(), obs))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_weak_sampled(self, n, seed):
+        rng = np.random.default_rng(seed)
+        psi = states.random_pure_state(n, 2, rng)
+        obs = random_site_observables(n, rng)
+        for shot in range(3):
+            o = weak_measure_product(psi, obs, rng=np.random.default_rng([seed, shot]))
+            d = weak_measure_product(psi.density(), obs, rng=np.random.default_rng([seed, shot]))
+            assert o.combined_value == d.combined_value
+            assert_same_outcomes([o], [d])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_strong_exact(self, n, seed):
+        psi = states.random_pure_state(n, 2, np.random.default_rng(seed))
+        for pauli in (SIGMA_X, SIGMA_Z):
+            dec = spectral_decompose(tensor(*([pauli] * n)))
+            dense = strong_measure_exact(psi.density(), dec)
+            assert_same_outcomes(strong_measure_exact(psi, dec), dense)
+            assert_same_outcomes(parity_measure_exact(psi, pauli), dense)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_conjugated_exact(self, n, seed):
+        psi = states.random_pure_state(n, 2, np.random.default_rng(seed))
+        conjugator = build_parity_conjugator(n)
+        assert_same_outcomes(conjugated_strong_measure_exact(psi, conjugator),
+                             conjugated_strong_measure_exact(psi.density(), conjugator))
+
+    def test_parity_rejects_non_involution(self):
+        with pytest.raises(ValueError, match="square to the identity"):
+            parity_measure_exact(zeros(2), SIGMA_X / 2)
 
 
 class TestProductProjection:
@@ -266,7 +338,8 @@ class TestConjugatedMeasurement:
         for d, v in zip(direct, via):
             assert d.value == v.value
             assert d.probability == pytest.approx(v.probability, abs=1e-9)
-            assert np.allclose(d.post_state.matrix, v.post_state.matrix, atol=1e-9)
+            assert np.allclose(states.density_matrix(d.post_state),
+                               states.density_matrix(v.post_state), atol=1e-9)
 
     def test_cat_unchanged(self):
         outs = conjugated_strong_measure_exact(cat_state(4), build_parity_conjugator(4))

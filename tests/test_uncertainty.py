@@ -100,6 +100,15 @@ class TestVariance:
             assert got == pytest.approx(1 / (4 * n), abs=1e-10)
 
 
+    def test_pure_state_vector_matches_density(self):
+        rng = np.random.default_rng(26)
+        for n, l in ((3, 2), (2, 3)):
+            psi = random_pure_state(n, l, rng)
+            c = random_site_observable(l, rng)
+            for abar in (c, AveragingObservable(c, n), averaging_matrix(c, n)):
+                assert abs(variance(abar, psi) - variance(abar, to_density(psi))) <= 1e-12
+
+
 class TestSiteBySitePath:
     def test_matches_dense_averaging_matrix(self):
         rng = np.random.default_rng(30)
@@ -346,6 +355,26 @@ class TestEstimate:
         value, _ = max_variance_qubit(rho)
         assert report.e_lower == pytest.approx(2 * np.sqrt(value), abs=1e-10)
         assert report.iterations == 0
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_pure_state_stays_a_vector(self, monkeypatch, l):
+        psi = random_pure_state(3, l, np.random.default_rng(27))
+        rho = to_density(psi)
+        dense = estimate_e(rho, restarts=2, seed=1)
+
+        def forbidden(self):
+            raise AssertionError("PureState.density called")
+
+        monkeypatch.setattr(states.PureState, "density", forbidden)
+        report = estimate_e(psi, restarts=2, seed=1)
+        abar = averaging_matrix(report.maximizer, 3)
+        assert commutator_trace_norm(abar, rho) == pytest.approx(report.e_lower, abs=1e-12)
+        if l == 2:
+            assert report.e_lower == pytest.approx(dense.e_lower, abs=1e-12)
+            assert report.variance_bound == pytest.approx(dense.variance_bound, abs=1e-12)
+            assert report.iterations == 0
+        else:
+            assert report.variance_bound is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
