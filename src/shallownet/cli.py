@@ -52,24 +52,19 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _int_list(text) -> tuple:
-    if isinstance(text, tuple):
-        return text
-    return tuple(int(t) for t in str(text).split(",") if t)
+def _int_list(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(",") if t)
 
 
 def _resolve(args, spec: dict) -> dict:
     """Merge CLI flags (None means unset) over config-file values over defaults."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+    cfg = _read_config(args.config) if args.config else {}
     out = {}
     for dest, (coerce, default) in spec.items():
-        val = getattr(args, dest, None)
+        val = getattr(args, dest)
         if val is None:
-            raw = cfg.get(dest)
-            val = coerce(raw) if raw is not None else default
-        elif coerce in (_int_list,):
-            val = coerce(val)
-        out[dest] = val
+            val = cfg.get(dest)
+        out[dest] = default if val is None else coerce(val)
     return out
 
 
@@ -142,7 +137,8 @@ def _build_input(spec: str, n: int, l: int):
                 except ValueError as err:
                     raise ValueError(f"{where}.factors[{f}]: {err}") from None
                 if state.n != 1:
-                    raise ValueError("mixture factors must be single-site states")
+                    raise ValueError(f"{where}.factors[{f}]: a mixture factor must be a "
+                                     f"single-site state, got n = {state.n}")
                 factors.append(state.matrix)
             terms.append((float(term["weight"]), tuple(factors)))
         sep = states.SeparableInput(tuple(terms))
@@ -197,12 +193,9 @@ def cmd_simulate(args) -> int:
     report["e_lower"] = estimate.e_lower
     if net.l == 2:
         report["fidelity_to_cat"] = states.fidelity(state, states.cat_state(net.n))
-        paulis = {"x": uncertainty.SiteObservable(np.array([[0, 0.5], [0.5, 0]])),
-                  "y": uncertainty.SiteObservable(np.array([[0, -0.5j], [0.5j, 0]])),
-                  "z": uncertainty.SiteObservable(np.array([[0.5, 0], [0, -0.5]]))}
         report["variance"] = {
-            axis: uncertainty.variance(c, state)
-            for axis, c in paulis.items()
+            axis: uncertainty.variance(uncertainty.SiteObservable(half), state)
+            for axis, half in zip("xyz", uncertainty.HALF_PAULIS)
         }
     if args.state_out:
         with open(args.state_out, "w", encoding="utf-8") as fh:
@@ -342,9 +335,6 @@ def cmd_lightcone(args) -> int:
 
 
 def cmd_depthbound(args) -> int:
-    if args.r <= 0:
-        print("error: r must be positive", file=sys.stderr)
-        return 2
     value = lightcone.depth_lower_bound(args.n, args.r)
     clamped = max(0.0, value) if args.clamp else value
     if args.format == "json":
@@ -371,6 +361,8 @@ def _measure_records(args, opts) -> list:
     mode = opts["mode"]
     if observable not in ("parity-x", "parity-z"):
         raise ValueError(f"unknown observable {observable!r}")
+    if mode not in ("weak", "strong", "conjugated"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "conjugated" and observable != "parity-x":
         raise ValueError("conjugated mode measures parity-x; observable mismatch")
 
@@ -441,12 +433,11 @@ def cmd_measure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, config=True):
+def _add_common(sub):
     sub.add_argument("--out", help="write the report to this path instead of stdout")
     sub.add_argument("--format", choices=["json", "csv"], default=None)
     sub.add_argument("--seed", type=int, default=None, help="root seed")
-    if config:
-        sub.add_argument("--config", help="flat key=value config file; flags override")
+    sub.add_argument("--config", help="flat key=value config file; flags override")
 
 
 def build_parser() -> argparse.ArgumentParser:

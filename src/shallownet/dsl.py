@@ -35,7 +35,6 @@ from .network import (
     depolarizing_kraus,
 )
 
-FILE_EXTENSION = ".qnet"
 MATCH_ATOL = 1e-15
 
 _DEPOL_RE = re.compile(r"^DEPOL\((?P<p>[^()]*)\)$")
@@ -227,13 +226,7 @@ def _parse_gate(p: _Parser, toks, n: int, l: int, line: int) -> LocalChannel:
         return LocalChannel(sites, tuple(depolarizing_kraus(strength, dim)))
 
     if name == "UNITARY":
-        matrix = p.read_matrix(dim, line)
-        if matrix.shape != (dim, dim):
-            raise CircuitParseError(
-                f"inline matrix is {matrix.shape[0]}x{matrix.shape[1]}, expected {dim}x{dim}",
-                line, name_col, "local-dimension",
-            )
-        return LocalChannel(sites, (matrix,))
+        return LocalChannel(sites, (p.read_matrix(dim, line),))
 
     if name in ONE_SITE_GATES:
         if len(sites) != 1:

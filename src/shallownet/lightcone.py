@@ -115,8 +115,8 @@ def depth_lower_bound(n: int, r: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:  # NaN fails too
+        raise ValueError(f"r must be positive and finite, got {r}")
     return (math.log(r) - math.log(math.sqrt(2.0 / n))) / math.log(2.0)
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+UNITARY_ATOL = 1e-10
 
 # Single-qubit staples, used by the gate library and all over the tests.
 I2 = np.eye(2, dtype=complex)
@@ -51,14 +52,14 @@ def require_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate Hermiticity entrywise; rejects instead of symmetrizing."""
     m = require_square(a)
     dev = float(np.max(np.abs(m - m.conj().T), initial=0.0))
-    if dev > atol:
+    if not dev <= atol:  # a NaN entry fails too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {atol:.0e})")
     return m
 
 
-def is_unitary(a, atol: float = 1e-10) -> bool:
+def is_unitary(a) -> bool:
     m = require_square(a)
-    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=atol, rtol=0.0))
+    return bool(np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_ATOL, rtol=0.0))
 
 
 def tensor(*matrices) -> np.ndarray:

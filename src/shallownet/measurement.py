@@ -45,6 +45,7 @@ from .uncertainty import SiteObservable, _commutator_on_range
 PROJECTOR_ATOL = 1e-10
 PROBABILITY_FLOOR = 1e-12
 CLUSTER_TOL = 1e-8
+FACTOR_TOL = 1e-8  # is_product_projection: zero-factor cutoff and rebuild tolerance
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,11 @@ class SpectralDecomposition:
         return sum(v * p for v, p in zip(self.eigenvalues, self.projectors))
 
 
-def spectral_decompose(a: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
+def spectral_decompose(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition with nearby eigenvalues merged into one projector.
 
     Clustering keeps degenerate eigenspaces whole: consecutive eigenvalues
-    within ``cluster_tol`` share a projector.
+    within ``CLUSTER_TOL`` share a projector.
     """
     m = linalg.require_hermitian(a, atol=1e-10)
     eig, vec = np.linalg.eigh(m)
@@ -95,7 +96,7 @@ def spectral_decompose(a: np.ndarray, cluster_tol: float = CLUSTER_TOL) -> Spect
     projectors = []
     start = 0
     for i in range(1, len(eig) + 1):
-        if i == len(eig) or eig[i] - eig[i - 1] > cluster_tol:
+        if i == len(eig) or eig[i] - eig[i - 1] > CLUSTER_TOL:
             block = vec[:, start:i]
             values.append(float(np.mean(eig[start:i])))
             projectors.append(block @ block.conj().T)
@@ -224,7 +225,7 @@ class WeakOutcome:
     post_state: PureState | DensityState | None
 
 
-def _weak_setup(rho, site_observables, post_fn):
+def _weak_setup(rho, site_observables):
     """The state array, each site's spectral decomposition, and an outcome-record builder.
 
     Equal site observables share one decomposition: the CLI passes one Pauli
@@ -240,11 +241,10 @@ def _weak_setup(rho, site_observables, post_fn):
         decs.append(distinct[key])
     if len(decs) != rho.n:
         raise ValueError(f"need {rho.n} site observables, got {len(decs)}")
-    combine = post_fn if post_fn is not None else (lambda v: v)
 
     def record(values: tuple, p: float, post: np.ndarray, weight: float) -> WeakOutcome:
-        combined = float(combine(float(np.prod(values))))
-        return WeakOutcome(values, p, combined, _post_state(post, weight, rho.n, rho.l))
+        post_state = _post_state(post, weight, rho.n, rho.l)
+        return WeakOutcome(values, p, float(np.prod(values)), post_state)
 
     return x, decs, record
 
@@ -257,15 +257,14 @@ def _site_marginal(x: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
     return linalg.reduce_to_site(x, site, n, l)
 
 
-def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
+def weak_measure_product_exact(rho, site_observables) -> list:
     """Joint distribution of per-site eigenbasis measurements.
 
-    The combined value is ``post_fn`` applied to the product of the site
-    outcomes (identity by default), matching the spectrum of the product
-    observable built from the same site operators.  A PureState input walks
-    its amplitudes and gives PureState post states.
+    The combined value is the product of the site outcomes, matching the
+    spectrum of the product observable built from the same site operators.
+    A PureState input walks its amplitudes and gives PureState post states.
     """
-    x, decs, record = _weak_setup(rho, site_observables, post_fn)
+    x, decs, record = _weak_setup(rho, site_observables)
     n, l = rho.n, rho.l
     outcomes: list[WeakOutcome] = []
 
@@ -282,11 +281,10 @@ def weak_measure_product_exact(rho, site_observables, post_fn=None) -> list:
     return outcomes
 
 
-def weak_measure_product(rho, site_observables, post_fn=None, rng: np.random.Generator | None = None) -> WeakOutcome:
-    """Sample site-by-site, collapsing as measurements proceed."""
-    if rng is None:
-        raise ValueError("weak_measure_product needs a random generator")
-    current, decs, record = _weak_setup(rho, site_observables, post_fn)
+def weak_measure_product(rho, site_observables, rng: np.random.Generator) -> WeakOutcome:
+    """Sample one record of ``weak_measure_product_exact`` site by site,
+    collapsing as measurements proceed; deterministic given the generator."""
+    current, decs, record = _weak_setup(rho, site_observables)
     n, l = rho.n, rho.l
     joint, values = 1.0, ()
     for site, dec in enumerate(decs, start=1):
@@ -351,7 +349,7 @@ class ProductProjection:
         return linalg.tensor(*self.factors)
 
 
-def is_product_projection(p: np.ndarray, l: int, tol: float = 1e-8) -> ProductProjection | None:
+def is_product_projection(p: np.ndarray, l: int) -> ProductProjection | None:
     """Recover per-site factors of a projection, or None if it does not factor.
 
     Each candidate factor comes from the partial trace down to that site; the
@@ -366,14 +364,14 @@ def is_product_projection(p: np.ndarray, l: int, tol: float = 1e-8) -> ProductPr
         reduced = linalg.reduce_to_site(m, site, n, l)
         eig, vec = np.linalg.eigh(reduced)
         top = float(eig[-1])
-        if top <= tol:
+        if top <= FACTOR_TOL:
             factors.append(np.zeros((l, l), dtype=complex))
             continue
         keep = eig > top / 2
         block = vec[:, keep]
         factors.append(block @ block.conj().T)
     candidate = linalg.tensor(*factors)
-    if np.max(np.abs(candidate - m), initial=0.0) <= tol:
+    if np.max(np.abs(candidate - m), initial=0.0) <= FACTOR_TOL:
         return ProductProjection(tuple(factors))
     return None
 

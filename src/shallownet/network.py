@@ -156,10 +156,6 @@ class Step:
             seen.update(ch.support)
         object.__setattr__(self, "channels", channels)
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(s for ch in self.channels for s in ch.support)
-
     def has_bilocal(self) -> bool:
         return any(len(ch.support) == 2 for ch in self.channels)
 

@@ -48,7 +48,7 @@ class PureState:
         if amps.shape[0] != dim:
             raise ValueError(f"amplitude vector has length {amps.shape[0]}, expected {dim}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # a NaN norm fails too
             raise ValueError(f"state vector norm {norm} deviates from 1 by more than {NORM_ATOL}")
         _frozen_array(self, "amplitudes", amps)
 
@@ -114,8 +114,8 @@ class SeparableInput:
         total = 0.0
         for weight, factors in self.terms:
             w = float(weight)
-            if w < -WEIGHT_ATOL:
-                raise ValueError(f"negative weight {w}")
+            if not w >= -WEIGHT_ATOL:  # a NaN weight fails too
+                raise ValueError(f"weight {w} is negative or not a number")
             total += w
             factors = tuple(linalg.require_hermitian(f) for f in factors)
             if n is None:
@@ -129,7 +129,7 @@ class SeparableInput:
                 # validates trace / positivity of the single-site factor
                 DensityState(1, l, f)
             frozen.append((w, factors))
-        if abs(total - 1.0) > WEIGHT_ATOL:
+        if not abs(total - 1.0) <= WEIGHT_ATOL:
             raise ValueError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "terms", tuple(frozen))
 
@@ -204,12 +204,10 @@ def to_density(state) -> DensityState:
 
 
 def density_matrix(state) -> np.ndarray:
-    """Accept a PureState, DensityState, or raw matrix; return the matrix."""
+    """The density matrix of a PureState (``psi psi^dag``) or a DensityState."""
     if isinstance(state, PureState):
         return state.density().matrix
-    if isinstance(state, DensityState):
-        return state.matrix
-    return linalg.require_square(state)
+    return state.matrix
 
 
 def fidelity(a, b) -> float:
@@ -249,15 +247,15 @@ def state_from_dict(doc: dict):
         if key not in doc:
             raise ValueError(f"state JSON is missing field {key!r}")
     for key in ("n", "l"):
-        if not isinstance(doc[key], int) or doc[key] < 1:
+        if type(doc[key]) is not int or doc[key] < 1:  # a bool is not a count
             raise ValueError(f"state field {key!r} must be a positive integer, got {doc[key]!r}")
     n, l, kind, data = doc["n"], doc["l"], doc["kind"], doc["data"]
     try:
         values = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError):
         values = None
-    if not isinstance(data, list) or values is None:
-        raise ValueError("state field 'data' must be a list of [re, im] number pairs")
+    if not isinstance(data, list) or values is None or not np.isfinite(values).all():
+        raise ValueError("state field 'data' must be a list of finite [re, im] number pairs")
     if kind == "pure":
         return PureState(n, l, values)
     if kind == "density":

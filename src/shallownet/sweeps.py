@@ -71,7 +71,7 @@ def _trial_grid(config: RunConfig):
         yield trial, int(n), int(k)
 
 
-def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
+def uncertainty_bound_sweep(config: RunConfig) -> list:
     """Depth-bound rows for prepared states: the functional vs sqrt(2/n) 2^k.
 
     Each row carries ``lhs``, a lower bound on the functional at the output
@@ -89,7 +89,7 @@ def uncertainty_bound_sweep(config: RunConfig, **estimate_options) -> list:
         noise = config.noise if (config.noise > 0 and trial % 2 == 1) else 0.0
         net = random_shallow(n, k, rng, noise=noise)
         inp = random_product_input(n, 2, rng)
-        check = check_uncertainty_bound(net, inp, tol=config.tol, **estimate_options)
+        check = check_uncertainty_bound(net, inp, tol=config.tol)
         rows.append(
             {
                 "trial": trial,
@@ -132,9 +132,9 @@ def projection_bound_sweep(config: RunConfig) -> list:
     return rows
 
 
-def run_sweep(which: int, config: RunConfig, **estimate_options) -> list:
+def run_sweep(which: int, config: RunConfig) -> list:
     if which == 1:
-        return uncertainty_bound_sweep(config, **estimate_options)
+        return uncertainty_bound_sweep(config)
     if which == 2:
         return projection_bound_sweep(config)
     raise ValueError(f"unknown sweep selector {which}; expected 1 or 2")

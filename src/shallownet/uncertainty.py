@@ -577,14 +577,13 @@ class UncertaintyBoundCheck:
     bound: float
     passed: bool
     report: MacroUncertaintyReport | None
-    e_upper: float | None = None
+    e_upper: float | None
 
 
 def check_uncertainty_bound(
     net: Network,
     separable: SeparableInput,
     tol: float = 1e-8,
-    **estimate_options,
 ) -> UncertaintyBoundCheck:
     """Run a separable input through the network and test the depth bound.
 
@@ -616,7 +615,7 @@ def check_uncertainty_bound(
         if e_upper <= bound + tol:
             e_lower = commutator_trace_norm(SiteObservable.from_bloch(v), state)
             return UncertaintyBoundCheck(e_lower, bound, True, None, e_upper)
-    report = estimate_e(state, **estimate_options)
+    report = estimate_e(state)
     return UncertaintyBoundCheck(
         e_lower=report.e_lower,
         bound=bound,

@@ -579,3 +579,126 @@ def test_verify_exits_one_on_violation(monkeypatch, capsys):
     monkeypatch.setattr(cli_module.sweeps, "run_sweep", fake_sweep)
     assert main(["verify", "1", "--trials", "1"]) == 1
     assert "BOUND VIOLATION" in capsys.readouterr().err
+
+
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_usage_error(capsys, argv, text):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert text in captured.err
+    assert captured.out == ""
+
+
+class TestInputSpecs:
+    def test_cat_input(self, capsys, empty_circuit):
+        code, report = run_json(capsys, ["simulate", empty_circuit, "--input", "cat"])
+        assert code == 0
+        assert report["fidelity_to_cat"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("circuit, spec, text", [
+        ("qubits 2\nldim 3\n", "cat", "cat input requires local dimension 2"),
+        ("qubits 3\n", "product:0,1", "product input lists 2 kets for 3 sites"),
+        ("qubits 2\n", "product:0,x", "unknown ket token 'x'"),
+        ("qubits 2\n", "product:0,2", "unknown ket token '2'"),
+        ("qubits 2\n", "ones", "unknown input spec 'ones'"),
+    ])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, circuit, spec, text):
+        path = tmp_path / "c.qnet"
+        path.write_text(circuit)
+        assert_usage_error(capsys, ["simulate", str(path), "--input", spec], text)
+
+    def test_mixture_factor_of_two_sites_exits_2(self, tmp_path, capsys, empty_circuit):
+        pair = states.state_to_dict(states.basis_state(2, 2))
+        mix_file = write_json(tmp_path / "mix.json", {"terms": [{"weight": 1.0, "factors": [pair]}]})
+        assert_usage_error(capsys, ["simulate", empty_circuit, "--input", f"mixture:{mix_file}"],
+                           "terms[0].factors[0]: a mixture factor must be a single-site state")
+
+    def test_nan_mixture_weight_exits_2(self, tmp_path, capsys, empty_circuit):
+        zero = states.state_to_dict(states.basis_state(1, 2))
+        doc = {"terms": [{"weight": float("nan"), "factors": [zero] * 3}]}
+        mix_file = write_json(tmp_path / "mix.json", doc)
+        assert_usage_error(capsys, ["simulate", empty_circuit, "--input", f"mixture:{mix_file}"],
+                           "weight nan")
+
+
+class TestNonFiniteInput:
+    NAN_PURE = {"n": 2, "l": 2, "kind": "pure",
+                "data": [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--mode", "strong", "--exact"],
+        ["measure", "--mode", "conjugated", "--exact"],
+        ["erho"],
+    ])
+    def test_nan_amplitude_exits_2(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "s.json", self.NAN_PURE)
+        assert_usage_error(capsys, [argv[0], path, *argv[1:]], "field 'data'")
+
+    @pytest.mark.parametrize("entry", [[float("nan"), 0.0], [float("inf"), 0.0]])
+    def test_non_finite_density_entry_exits_2(self, tmp_path, capsys, entry):
+        data = [[0.5, 0.0], entry, [0.0, 0.0], [0.5, 0.0]]
+        path = write_json(tmp_path / "s.json", {"n": 1, "l": 2, "kind": "density", "data": data})
+        assert_usage_error(capsys, ["erho", path], "field 'data'")
+
+    @pytest.mark.parametrize("key", ["n", "l"])
+    def test_bool_count_exits_2(self, tmp_path, capsys, key):
+        doc = {"n": 1, "l": 2, "kind": "pure", "data": [[1.0, 0.0], [0.0, 0.0]], key: True}
+        path = write_json(tmp_path / "s.json", doc)
+        assert_usage_error(capsys, ["erho", path], f"field '{key}'")
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_depthbound_non_finite_level_exits_2(self, capsys, r):
+        assert_usage_error(capsys, ["depthbound", "8", r], f"r must be positive and finite, got {r}")
+
+    def test_eigenvalue_below_floor_exits_2(self, tmp_path, capsys):
+        diag = [0.5 + 1e-9, 0.3, 0.2, -1e-9]
+        data = [[diag[i] if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+        path = write_json(tmp_path / "s.json", {"n": 2, "l": 2, "kind": "density", "data": data})
+        assert_usage_error(capsys, ["erho", path], "minimum eigenvalue -1e-09")
+
+
+class TestCsvAndConfig:
+    def read_csv(self, capsys, argv) -> list:
+        assert main(argv) == 0
+        return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+    def test_simulate_csv(self, capsys, ladder8):
+        (row,) = self.read_csv(capsys, ["simulate", ladder8, "--format", "csv"])
+        assert (row["n"], row["depth"], row["kind"]) == ("8", "3", "pure")
+        assert float(row["fidelity_to_cat"]) == pytest.approx(1.0, abs=1e-10)
+        assert "variance" not in row and "config" not in row
+
+    def test_lightcone_csv(self, capsys, ladder8):
+        (row,) = self.read_csv(capsys, ["lightcone", ladder8, "--format", "csv"])
+        assert row["n"] == "8" and row["bound_support"] == "8"
+        assert int(row["max_support_size"]) <= 8
+
+    def test_depthbound_csv(self, capsys):
+        (row,) = self.read_csv(capsys, ["depthbound", "8", "1", "--format", "csv"])
+        assert (row["n"], row["r"], float(row["bound"])) == ("8", "1.0", pytest.approx(1.0))
+
+    def test_measure_refuses_qutrit_state(self, capsys, qutrit_state_file):
+        assert_usage_error(capsys, ["measure", qutrit_state_file, "--exact"], "local dimension 2")
+
+    @pytest.mark.parametrize("line, text", [
+        ("observable=foo", "unknown observable 'foo'"),
+        ("mode=foo", "unknown mode 'foo'"),
+    ])
+    def test_measure_config_value_checked(self, tmp_path, capsys, ladder8, line, text):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(line + "\n")
+        assert_usage_error(capsys, ["measure", "--circuit", ladder8, "--exact",
+                                    "--config", str(cfg)], text)
+
+    def test_int_lists_from_config_and_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n-list=4,6\nk-list=1\ntrials=2\n")
+        code, report = run_json(capsys, ["verify", "2", "--config", str(cfg)])
+        assert code == 0
+        assert (report["config"]["n_values"], report["config"]["k_values"]) == ([4, 6], [1])
+        code, report = run_json(capsys, ["verify", "2", "--config", str(cfg), "--n-list", "8"])
+        assert report["config"]["n_values"] == [8]

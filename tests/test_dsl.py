@@ -5,8 +5,11 @@ import pytest
 
 from shallownet import states
 from shallownet.dsl import CircuitParseError, parse, serialize
+from shallownet.linalg import embed
 from shallownet.network import (
     CNOT,
+    ONE_SITE_GATES,
+    TWO_SITE_GATES,
     LocalChannel,
     Network,
     Step,
@@ -76,6 +79,43 @@ class TestParse:
         assert err.value.category == "syntax"
 
 
+# (document, category, line, column) for every parse error site
+PARSE_ERRORS = [
+    ("qubits 2\nqubits 3\n", "syntax", 2, 1),
+    ("", "syntax", 1, 1),
+    ("# only a comment\n", "syntax", 1, 1),
+    ("qubits\n", "syntax", 1, 1),
+    ("qubits two\n", "syntax", 1, 8),
+    ("qubits 0\n", "syntax", 1, 8),
+    ("qubits 2\nstep\nldim 3\n", "syntax", 3, 1),
+    ("qubits 2\nldim\n", "syntax", 2, 1),
+    ("qubits 2\nldim 1\n", "syntax", 2, 6),
+    ("step\n", "syntax", 1, 1),
+    ("qubits 2\nstep 1\n", "syntax", 2, 1),
+    ("qubits 2\ngate H 1\n", "syntax", 2, 1),
+    ("qubits 2\nstep\n  measure 1\n", "syntax", 3, 3),
+    ("qubits 2\nstep\n  gate H\n", "syntax", 3, 3),
+    ("qubits 3\nstep\n  gate CNOT 1 2 3\n", "arity", 3, 13),
+    ("qubits 2\nstep\n  gate CNOT 1 1\n", "arity", 3, 13),
+    ("qubits 2\nstep\n  gate H x\n", "syntax", 3, 10),
+    ("qubits 2\nstep\n  gate DEPOL(1.5) 1\n", "syntax", 3, 8),
+    ("qubits 2\nstep\n  gate DEPOL(lots) 1\n", "syntax", 3, 8),
+    ("qubits 2\nstep\n  gate H 1 2\n", "arity", 3, 8),
+    ("qubits 2\nldim 3\nstep\n  gate H 1\n", "local-dimension", 4, 8),
+    ("qubits 2\nstep\n  gate SWAP 1\n", "arity", 3, 8),
+    ("qubits 2\nldim 3\nstep\n  gate CZ 1 2\n", "local-dimension", 4, 8),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0,0\n", "local-dimension", 3, 1),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0,0\n  step\n", "local-dimension", 5, 3),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0\n", "local-dimension", 4, 5),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0\n    0,0 1,0\n", "syntax", 4, 9),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0,x\n    0,0 1,0\n", "syntax", 4, 9),
+    ("qubits 1\nstep\n  channel 1 1\n", "syntax", 3, 3),
+    ("qubits 1\nstep\n  channel unitary 1 1\n", "syntax", 3, 3),
+    ("qubits 1\nstep\n  channel kraus 0 1\n", "syntax", 3, 17),
+    ("qubits 1\nstep\n  channel kraus one 1\n", "syntax", 3, 17),
+]
+
+
 class TestDiagnostics:
     def test_overlap_names_both_lines(self):
         with pytest.raises(CircuitParseError) as err:
@@ -126,6 +166,13 @@ class TestDiagnostics:
         assert err.value.line >= 1
         assert err.value.column >= 1
         assert f"line {err.value.line}" in str(err.value)
+
+    @pytest.mark.parametrize("text, category, line, column", PARSE_ERRORS)
+    def test_error_site(self, text, category, line, column):
+        with pytest.raises(CircuitParseError) as err:
+            parse(text)
+        assert (err.value.category, err.value.line, err.value.column) == (category, line, column)
+        assert str(err.value).startswith(f"line {line}, column {column}: {category}: ")
 
 
 class TestSerialize:
@@ -183,3 +230,19 @@ class TestSerialize:
         text = serialize(net)
         assert "ldim 3" in text
         assert networks_equal(net, parse(text))
+
+    @pytest.mark.parametrize("name", sorted(ONE_SITE_GATES))
+    def test_one_site_library_gate_round_trip(self, name):
+        net = Network(2, 2, (Step((LocalChannel((2,), (ONE_SITE_GATES[name],)),)),))
+        text = serialize(net)
+        assert f"gate {name} 2" in text.splitlines()[2]
+        assert networks_equal(net, parse(text))
+
+    def test_matrix_with_control_second_reads_as_reversed_cnot(self):
+        swap = TWO_SITE_GATES["SWAP"]
+        net = Network(2, 2, (Step((LocalChannel((1, 2), (swap @ CNOT @ swap,)),)),))
+        text = serialize(net)
+        assert text.splitlines()[2] == "  gate CNOT 2 1"
+        ch = parse(text).steps[0].channels[0]
+        want = embed(swap @ CNOT @ swap, (1, 2), 2, 2)
+        assert np.array_equal(embed(ch.kraus[0], ch.support, 2, 2), want)

@@ -121,6 +121,11 @@ class TestDepthLowerBound:
         with pytest.raises(ValueError):
             depth_lower_bound(8, -1.0)
 
+    @pytest.mark.parametrize("r", [float("nan"), float("inf")])
+    def test_rejects_non_finite_level(self, r):
+        with pytest.raises(ValueError, match=f"r must be positive and finite, got {r}"):
+            depth_lower_bound(8, r)
+
 
 class TestCrossing:
     @pytest.fixture()

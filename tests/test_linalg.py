@@ -206,6 +206,13 @@ def test_hermiticity_is_rejected_not_repaired():
         linalg.require_hermitian(bad)
 
 
+def test_nan_entry_is_not_hermitian():
+    bad = np.eye(2, dtype=complex)
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.require_hermitian(bad)
+
+
 def test_reduce_to_site_and_partial_trace():
     rng = np.random.default_rng(6)
     single = random_hermitian(rng, 2)

@@ -20,6 +20,14 @@ KET1 = np.array([0, 1], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
+def spectrum_matrix(lowest: float) -> np.ndarray:
+    """Hermitian, unit-trace 4 x 4 matrix with eigenvalues (0.5 - lowest, 0.3, 0.2, lowest)."""
+    rng = np.random.default_rng(21)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    m = q @ np.diag([0.5 - lowest, 0.3, 0.2, lowest]) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
 class TestProductState:
     def test_all_zeros(self):
         psi = product_state([KET0] * 4)
@@ -145,6 +153,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             SeparableInput(((0.6, (proj0,)), (0.6, (proj0,))))
 
+    def test_nan_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm nan"):
+            PureState(1, 2, np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("weight, message", [(np.nan, "weight nan"), (np.inf, "weights sum to inf")])
+    def test_non_finite_weight_rejected(self, weight, message):
+        proj0 = np.outer(KET0, KET0.conj())
+        with pytest.raises(ValueError, match=message):
+            SeparableInput(((weight, (proj0,)),))
+
+    def test_eigenvalue_below_floor_rejected(self):
+        with pytest.raises(ValueError, match="minimum eigenvalue") as err:
+            DensityState(2, 2, spectrum_matrix(-1e-9))
+        assert float(str(err.value).split()[2]) == pytest.approx(-1e-9, rel=1e-5)
+
+    def test_eigenvalue_within_floor_accepted(self):
+        rho = DensityState(2, 2, spectrum_matrix(-1e-11))
+        assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-1e-11, rel=1e-3)
+
     def test_states_are_immutable(self):
         psi = cat_state(2)
         with pytest.raises(ValueError):
@@ -166,6 +193,18 @@ class TestJson:
         assert isinstance(back, DensityState)
         assert (back.n, back.l) == (2, 3)
         assert np.array_equal(back.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("key", ["n", "l"])
+    def test_bool_count_rejected(self, key):
+        doc = {"n": 1, "l": 2, "kind": "pure", "data": [[1, 0], [0, 0]], key: True}
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            states.state_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [[np.nan, 0.0], [0.0, np.inf]])
+    def test_non_finite_data_rejected(self, entry):
+        doc = {"n": 1, "l": 2, "kind": "pure", "data": [[1.0, 0.0], entry]}
+        with pytest.raises(ValueError, match="field 'data'"):
+            states.state_from_dict(doc)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
