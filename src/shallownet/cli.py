@@ -56,15 +56,33 @@ def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t)
 
 
+def _report_format(text: str) -> str:
+    """``--format`` of the commands that write a report: json or csv.  The
+    flag's own choices guard the command line; this guards a config file."""
+    if text not in ("json", "csv"):
+        raise ValueError(f"must be 'json' or 'csv', got {text!r}")
+    return text
+
+
 def _resolve(args, spec: dict) -> dict:
-    """Merge CLI flags (None means unset) over config-file values over defaults."""
+    """Merge CLI flags (None means unset) over config-file values over defaults.
+
+    A config value its field's coercion refuses raises a ValueError naming the
+    field and the config file.
+    """
     cfg = _read_config(args.config) if args.config else {}
     out = {}
     for dest, (coerce, default) in spec.items():
         val = getattr(args, dest)
-        if val is None:
-            val = cfg.get(dest)
-        out[dest] = default if val is None else coerce(val)
+        if val is not None:
+            out[dest] = coerce(val)
+        elif dest in cfg:
+            try:
+                out[dest] = coerce(cfg[dest])
+            except ValueError as err:
+                raise ValueError(f"config file {args.config}: field {dest!r}: {err}") from None
+        else:
+            out[dest] = default
     return out
 
 
@@ -128,8 +146,9 @@ def _build_input(spec: str, n: int, l: int):
             factor_docs = term.get("factors") if isinstance(term, dict) else None
             if not isinstance(factor_docs, list) or not factor_docs:
                 raise ValueError(f"{where}: field 'factors' is missing or not a non-empty list")
-            if not isinstance(term.get("weight"), (int, float)):
-                raise ValueError(f"{where}: field 'weight' is missing or not a number")
+            weight = term.get("weight")
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise ValueError(f"{where}: field 'weight' is missing or not a number, got {weight!r}")
             factors = []
             for f, factor in enumerate(factor_docs):
                 try:
@@ -140,7 +159,7 @@ def _build_input(spec: str, n: int, l: int):
                     raise ValueError(f"{where}.factors[{f}]: a mixture factor must be a "
                                      f"single-site state, got n = {state.n}")
                 factors.append(state.matrix)
-            terms.append((float(term["weight"]), tuple(factors)))
+            terms.append((float(weight), tuple(factors)))
         sep = states.SeparableInput(tuple(terms))
         return states.mix(sep)
     raise ValueError(f"unknown input spec {spec!r}")
@@ -173,7 +192,7 @@ def _load_state(args) -> tuple:
 def cmd_simulate(args) -> int:
     opts = _resolve(args, {
         "input": (str, "zeros"),
-        "format": (str, "json"),
+        "format": (_report_format, "json"),
         "seed": (int, 0),
         "tol": (float, 1e-9),
     })
@@ -216,7 +235,7 @@ def cmd_erho(args) -> int:
         "max_iter": (int, 20),
         "tol": (float, 1e-9),
         "seed": (int, 0),
-        "format": (str, "json"),
+        "format": (_report_format, "json"),
         "input": (str, "zeros"),
     })
     state, source = _load_state(args)
@@ -262,7 +281,7 @@ def cmd_verify(args) -> int:
         "noise": (float, 0.05),
         "seed": (int, 0),
         "tol": (float, 1e-8),
-        "format": (str, "json"),
+        "format": (_report_format, "json"),
     })
     which = args.which
     fields = {"seed": opts["seed"], "trials": opts["trials"], "n_values": opts["n_list"],
@@ -304,7 +323,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
-    opts = _resolve(args, {"format": (str, "json"), "sites": (str, "")})
+    opts = _resolve(args, {"format": (_report_format, "json"), "sites": (str, "")})
     net = _load_circuit(args.circuit)
     report_obj = lightcone.lightcone_report(net)
     report = {
@@ -367,10 +386,12 @@ def _measure_records(args, opts) -> list:
         raise ValueError("conjugated mode measures parity-x; observable mismatch")
 
     pauli = SIGMA_X if observable == "parity-x" else SIGMA_Z
+    # weak mode decomposes the site observable once for every site and every shot
+    sites = [measurement.spectral_decompose(pauli)] * n if mode == "weak" else None
 
     def exact_outcomes():
         if mode == "weak":
-            return measurement.weak_measure_product_exact(state, [pauli] * n)
+            return measurement.weak_measure_product_exact(state, sites)
         if mode == "strong":
             if isinstance(state, states.PureState):
                 return measurement.parity_measure_exact(state, pauli)
@@ -393,7 +414,7 @@ def _measure_records(args, opts) -> list:
         sub = sweeps.trial_seed(opts["seed"], shot)
         rng = np.random.default_rng(sub)
         if outcomes is None:
-            o = measurement.weak_measure_product(state, [pauli] * n, rng=rng)
+            o = measurement.weak_measure_product(state, sites, rng=rng)
         else:
             o = measurement.sample_outcome(outcomes, rng)
         records.append(record(o, sub))

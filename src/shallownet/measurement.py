@@ -144,10 +144,14 @@ def _weight(x: np.ndarray) -> float:
 
 
 def _post_state(x: np.ndarray, p: float, n: int, l: int):
-    """The unnormalized post state x of weight p, normalized."""
+    """The unnormalized post state x of weight p, normalized.
+
+    A density post state ``q rho q^dag`` of a projector q is positive by
+    construction, so it skips the public constructor's eigensolve.
+    """
     if x.ndim == 1:
         return PureState(n, l, x / math.sqrt(p))
-    return DensityState(n, l, x / p)
+    return DensityState._trusted(n, l, x / p)
 
 
 def _collapse_site(x: np.ndarray, q: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
@@ -228,12 +232,16 @@ class WeakOutcome:
 def _weak_setup(rho, site_observables):
     """The state array, each site's spectral decomposition, and an outcome-record builder.
 
-    Equal site observables share one decomposition: the CLI passes one Pauli
-    for every site.
+    A site observable is a Hermitian matrix or its ``SpectralDecomposition``;
+    a caller that samples many shots (the CLI) passes decompositions, made
+    once.  Equal site matrices share one decomposition.
     """
     x = _state_array(rho)
     decs, distinct = [], {}
     for a in site_observables:
+        if isinstance(a, SpectralDecomposition):
+            decs.append(a)
+            continue
         m = linalg.require_hermitian(a)
         key = (m.shape, m.tobytes())
         if key not in distinct:
@@ -261,8 +269,9 @@ def weak_measure_product_exact(rho, site_observables) -> list:
     """Joint distribution of per-site eigenbasis measurements.
 
     The combined value is the product of the site outcomes, matching the
-    spectrum of the product observable built from the same site operators.
-    A PureState input walks its amplitudes and gives PureState post states.
+    spectrum of the product observable built from the same site operators,
+    each a Hermitian matrix or its ``SpectralDecomposition``.  A PureState
+    input walks its amplitudes and gives PureState post states.
     """
     x, decs, record = _weak_setup(rho, site_observables)
     n, l = rho.n, rho.l

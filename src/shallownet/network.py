@@ -130,11 +130,15 @@ class LocalChannel:
     def superoperator(self) -> np.ndarray:
         """``S = sum_K K (x) conj(K)``, built on first use and cached (read-only).
 
-        On a density matrix reshaped to ``(l,)*2n``, ``S`` contracted into the
-        support's row and column axes at once is ``rho -> sum_K K rho K^dag``.
+        One einsum over the stacked Kraus family forms every entry
+        ``S[(a, b), (c, d)] = sum_K K[a, c] conj(K[b, d])``.  On a density
+        matrix reshaped to ``(l,)*2n``, ``S`` contracted into the support's
+        row and column axes at once is ``rho -> sum_K K rho K^dag``.
         """
         if self._superoperator is None:
-            s = sum(np.kron(k, k.conj()) for k in self.kraus)
+            ks = np.stack(self.kraus)
+            d = self.dim
+            s = np.einsum("kac,kbd->abcd", ks, ks.conj()).reshape(d * d, d * d)
             s.setflags(write=False)
             object.__setattr__(self, "_superoperator", s)
         return self._superoperator
@@ -212,13 +216,17 @@ def _conjugate_by_channels(m: np.ndarray, superoperators, n: int, l: int) -> np.
 
 
 def apply(net: Network, rho: DensityState) -> DensityState:
-    """Run the network on a density state, channels in step order."""
+    """Run the network on a density state, channels in step order.
+
+    The output of a trace-preserving Kraus map on a state is a state, so it
+    skips the public constructor's eigensolve (``DensityState._trusted``).
+    """
     if (rho.n, rho.l) != (net.n, net.l):
         raise ValueError(f"state is ({rho.n}, {rho.l}) but network is ({net.n}, {net.l})")
     superoperators = ((ch.support, ch.superoperator())
                       for step in net.steps for ch in step.channels)
     out = _conjugate_by_channels(rho.matrix, superoperators, net.n, net.l)
-    return DensityState(net.n, net.l, out)
+    return DensityState._trusted(net.n, net.l, out)
 
 
 def _apply_unitary_block(net: Network, x: np.ndarray) -> np.ndarray:
@@ -315,6 +323,7 @@ def random_shallow(
         raise ValueError("gate pool must not be empty")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim = l * l
+    noise_kraus = depolarizing_kraus(noise, dim) if noise > 0.0 else None
     steps = []
     for _ in range(k):
         order = rng.permutation(n) + 1
@@ -330,8 +339,8 @@ def random_shallow(
                 gate = TWO_SITE_GATES[name]
             else:
                 raise ValueError(f"unknown pool entry {name!r}")
-            if noise > 0.0:
-                kraus = tuple(d @ gate for d in depolarizing_kraus(noise, dim))
+            if noise_kraus is not None:
+                kraus = tuple(d @ gate for d in noise_kraus)
             else:
                 kraus = (gate,)
             channels.append(LocalChannel(pair, kraus))

@@ -1,8 +1,19 @@
 """Pure states, density matrices, and separable inputs for n-site systems.
 
 All state objects are immutable after construction (arrays are copied and made
-read-only) and validate their defining invariants eagerly, so a constructed
-state can always be trusted downstream.
+read-only).  States that arrive from outside the program are validated in
+full at the boundary: the public ``PureState``, ``DensityState`` and
+``SeparableInput`` constructors and ``state_from_dict`` check every defining
+invariant, positivity included (one eigensolve of the density matrix).
+
+States the program derives from states it already holds skip only that
+eigensolve: ``mix`` (a convex sum of products of validated single-site
+factors), ``network.apply`` (a trace-preserving Kraus map, validated when its
+channels were built, applied to a state), ``measurement``'s post states
+(``q rho q^dag / p`` for a projector q) and ``PureState.density``
+(``psi psi^dag``) are positive by construction.  They go through
+``DensityState._trusted``, which still checks the shape, Hermiticity and
+trace, all O(d^2).
 
 States serialize to a JSON document ``{n, l, kind, data}`` where ``kind`` is
 ``"pure"`` or ``"density"`` and ``data`` is a flat list of ``[re, im]`` pairs,
@@ -61,7 +72,18 @@ class PureState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real) ** 2
 
     def density(self) -> "DensityState":
-        return DensityState(self.n, self.l, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityState._trusted(self.n, self.l, np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def _hermitian_unit_trace(matrix, dim: int) -> np.ndarray:
+    """The matrix, checked to be a dim x dim Hermitian matrix of trace 1."""
+    m = linalg.require_hermitian(matrix)
+    if m.shape[0] != dim:
+        raise ValueError(f"matrix dimension {m.shape[0]}, expected {dim}")
+    tr = complex(np.trace(m))
+    if abs(tr - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_ATOL}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -73,17 +95,21 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = linalg.require_hermitian(self.matrix)
-        dim = self.l**self.n
-        if m.shape[0] != dim:
-            raise ValueError(f"matrix dimension {m.shape[0]}, expected {dim}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_ATOL}")
+        m = _hermitian_unit_trace(self.matrix, self.l**self.n)
         lo = float(np.linalg.eigvalsh(m)[0])
         if lo < EIGENVALUE_FLOOR:
             raise ValueError(f"minimum eigenvalue {lo} below {EIGENVALUE_FLOOR}")
         _frozen_array(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, n: int, l: int, matrix) -> "DensityState":
+        """A state the program derived from states it holds, positive by
+        construction: every check of the public constructor but the eigensolve."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "l", l)
+        _frozen_array(state, "matrix", _hermitian_unit_trace(matrix, l**n))
+        return state
 
     @property
     def dim(self) -> int:
@@ -194,7 +220,7 @@ def mix(sep: SeparableInput) -> DensityState:
     for weight, factors in sep.terms:
         term = weight * linalg.tensor(*factors)
         out = term if out is None else out + term
-    return DensityState(sep.n, sep.l, out)
+    return DensityState._trusted(sep.n, sep.l, out)
 
 
 def to_density(state) -> DensityState:
@@ -252,6 +278,12 @@ def state_from_dict(doc: dict):
     n, l, kind, data = doc["n"], doc["l"], doc["kind"], doc["data"]
     try:
         values = np.array([complex(re, im) for re, im in data], dtype=complex)
+        # complex() takes a bool, but a bool is not a number here; only a pair
+        # that reads 0 or 1 can hold one, so only those pairs are looked at
+        re, im = values.real, values.imag
+        suspects = np.flatnonzero((re == 0) | (re == 1) | (im == 0) | (im == 1))
+        if any(type(x) is bool for i in suspects for x in data[i]):
+            values = None
     except (TypeError, ValueError):
         values = None
     if not isinstance(data, list) or values is None or not np.isfinite(values).all():

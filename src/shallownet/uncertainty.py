@@ -44,6 +44,7 @@ comes from the three images ``abar(lambda_a) psi`` and the trace norm from a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -324,23 +325,36 @@ def _range_factor(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _spin_moments(m: np.ndarray, n: int) -> np.ndarray:
-    """Covariance M of the three spin averages ``S_p`` on a d x d rho, with no eigensolver.
+    """Covariance M of the three spin averages ``S_p`` on a d x d rho, from its marginals.
 
-    ``S_p`` (sigma_p/2 averaged over the n qubits) acts site by site.  The
-    covariance ``M_pq = Re tr(S_q T_p) - tr(T_p) tr(T_q)`` over the products
-    ``T_p = S_p rho`` takes its first term from the one-site marginals of
-    T_p, so Var(v . S) = v^T M v.
+    With ``S_p = (1/n) sum_i sigma_p^i / 2``, the site terms ``i = j`` of
+    ``Re <S_p S_q>`` are ``delta_pq / 4`` each (the antisymmetric part of
+    ``sigma_p sigma_q`` has an imaginary mean), so
+    ``M_pq = (n delta_pq + sum_{i != j} <sigma_p^i sigma_q^j>) / (4 n^2) - m_p m_q``
+    with ``m_p = (1/n) sum_i <sigma_p^i> / 2``.  The means come from the n
+    one-site marginals and the pair terms from the ``n(n-1)/2`` two-site
+    marginals of rho reshaped to ``(2,)*2n``; no d x d product forms, and
+    Var(v . S) = v^T M v.
     """
-    prods = np.empty((3,) + m.shape, dtype=complex)
-    for p, half in enumerate(HALF_PAULIS):
-        prods[p] = _abar_times(SiteObservable(half), m)
-    means = np.real(np.trace(prods, axis1=1, axis2=2))
-    marginals = np.stack([
-        sum(linalg.reduce_to_site(tp, i, n, 2) for i in range(1, n + 1)) for tp in prods
-    ])
-    second = np.real(np.einsum("qab,pba->pq", HALF_PAULIS, marginals)) / n
+    t = m.reshape((2,) * (2 * n))
+    ones = np.stack([linalg.reduce_to_site(m, i, n, 2) for i in range(1, n + 1)])
+    means = np.real(np.einsum("pab,iba->p", HALF_PAULIS, ones)) / n
+    second = np.eye(3) / (4 * n)
+    if n > 1:
+        pairs = np.stack([_pair_marginal(t, i, j, n) for i, j in itertools.combinations(range(n), 2)])
+        # sum_{i < j} <sigma_p^i sigma_q^j> / 4, a pair marginal's axes being (row i, row j, col i, col j)
+        upper = np.real(np.einsum("kacbd,pba,qdc->pq", pairs, HALF_PAULIS, HALF_PAULIS))
+        second = second + (upper + upper.T) / n**2
     cov = second - np.outer(means, means)
     return (cov + cov.T) / 2
+
+
+def _pair_marginal(t: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
+    """The reduced state of 0-based sites i and j of a qubit rho reshaped to
+    ``(2,)*2n``, with axes (row i, row j, column i, column j)."""
+    labels = list(range(n)) * 2
+    labels[n + i], labels[n + j] = n, n + 1
+    return np.einsum(t, labels, [i, j, n, n + 1])
 
 
 def max_variance_qubit(rho):

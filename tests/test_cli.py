@@ -6,13 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from shallownet import states, uncertainty
+from shallownet import measurement, states, uncertainty
 from shallownet.cli import main
 from shallownet.dsl import serialize
 from shallownet.linalg import SIGMA_X, operator_norm, tensor
 from shallownet.measurement import (
     build_parity_conjugator, conjugated_strong_measure, random_product_projection,
-    spectral_decompose, strong_measure,
+    spectral_decompose, strong_measure, weak_measure_product,
 )
 from shallownet.network import apply_pure, cat_ladder, invert_unitary, random_shallow
 from shallownet.sweeps import trial_seed
@@ -478,7 +478,7 @@ class TestMeasure:
         assert main(["measure", "--circuit", ladder8, "--shots", "-2"]) == 2
         assert "--shots" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["strong", "conjugated"])
+    @pytest.mark.parametrize("mode", ["strong", "conjugated", "weak"])
     def test_shots_equal_per_shot_sampler_calls(self, capsys, tmp_path, mode):
         rho = states.random_density_state(3, 2, np.random.default_rng(12), rank=2)
         state_file = tmp_path / "rho.json"
@@ -493,11 +493,26 @@ class TestMeasure:
             rng = np.random.default_rng(trial_seed(7, shot))
             if mode == "strong":
                 o = strong_measure(rho, spectral_decompose(tensor(*([SIGMA_X] * 3))), rng)
+            elif mode == "weak":
+                o = weak_measure_product(rho, [SIGMA_X] * 3, rng)
             else:
                 o = conjugated_strong_measure(rho, build_parity_conjugator(3), rng)
-            assert (r["value"], r["probability"], r["seed"]) == (o.value, o.probability, trial_seed(7, shot))
+            value = o.combined_value if mode == "weak" else o.value
+            assert (r["value"], r["probability"], r["seed"]) == (value, o.probability, trial_seed(7, shot))
             assert (posts / f"outcome_{shot}.json").read_text() == states.state_to_json(o.post_state)
         assert len({r["value"] for r in records}) == 2
+
+    def test_weak_shots_decompose_once(self, capsys, monkeypatch, ladder8):
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return spectral_decompose(a)
+
+        monkeypatch.setattr(measurement, "spectral_decompose", counted)
+        assert main(["measure", "--circuit", ladder8, "--mode", "weak", "--shots", "20"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 20
+        assert len(calls) == 1
 
     def test_mode_observable_mismatch(self, capsys, ladder8):
         code = main(["measure", "--circuit", ladder8, "--mode", "conjugated",
@@ -617,6 +632,13 @@ class TestInputSpecs:
         assert_usage_error(capsys, ["simulate", empty_circuit, "--input", f"mixture:{mix_file}"],
                            "terms[0].factors[0]: a mixture factor must be a single-site state")
 
+    def test_bool_mixture_weight_exits_2(self, tmp_path, capsys, empty_circuit):
+        zero = states.state_to_dict(states.basis_state(1, 2))
+        doc = {"terms": [{"weight": True, "factors": [zero] * 3}]}
+        mix_file = write_json(tmp_path / "mix.json", doc)
+        assert_usage_error(capsys, ["simulate", empty_circuit, "--input", f"mixture:{mix_file}"],
+                           "terms[0]: field 'weight' is missing or not a number, got True")
+
     def test_nan_mixture_weight_exits_2(self, tmp_path, capsys, empty_circuit):
         zero = states.state_to_dict(states.basis_state(1, 2))
         doc = {"terms": [{"weight": float("nan"), "factors": [zero] * 3}]}
@@ -642,6 +664,11 @@ class TestNonFiniteInput:
     def test_non_finite_density_entry_exits_2(self, tmp_path, capsys, entry):
         data = [[0.5, 0.0], entry, [0.0, 0.0], [0.5, 0.0]]
         path = write_json(tmp_path / "s.json", {"n": 1, "l": 2, "kind": "density", "data": data})
+        assert_usage_error(capsys, ["erho", path], "field 'data'")
+
+    def test_bool_data_exits_2(self, tmp_path, capsys):
+        doc = {"n": 1, "l": 2, "kind": "pure", "data": [[True, False], [False, False]]}
+        path = write_json(tmp_path / "s.json", doc)
         assert_usage_error(capsys, ["erho", path], "field 'data'")
 
     @pytest.mark.parametrize("key", ["n", "l"])
@@ -693,6 +720,15 @@ class TestCsvAndConfig:
         cfg.write_text(line + "\n")
         assert_usage_error(capsys, ["measure", "--circuit", ladder8, "--exact",
                                     "--config", str(cfg)], text)
+
+    @pytest.mark.parametrize("command", ["simulate", "erho", "verify", "lightcone"])
+    def test_config_format_checked(self, tmp_path, capsys, ladder8, command):
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("format=xml\n")
+        argv = {"simulate": ["simulate", ladder8], "erho": ["erho", "--circuit", ladder8],
+                "verify": ["verify", "2", "--trials", "1"], "lightcone": ["lightcone", ladder8]}
+        assert_usage_error(capsys, [*argv[command], "--config", str(cfg)],
+                           f"config file {cfg}: field 'format': must be 'json' or 'csv', got 'xml'")
 
     def test_int_lists_from_config_and_flags(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -128,6 +128,18 @@ class TestSuperoperator:
         assert ch.superoperator() is s
         assert not s.flags.writeable
 
+    def test_noisy_network_builds_one_kraus_family(self, monkeypatch):
+        calls = []
+
+        def counted(p, dim):
+            calls.append((p, dim))
+            return depolarizing_kraus(p, dim)
+
+        monkeypatch.setattr(network, "depolarizing_kraus", counted)
+        net = random_shallow(6, 3, 2, noise=0.1)
+        assert calls == [(0.1, 4)]
+        assert sum(len(step.channels) for step in net.steps) == 9
+
     def test_pure_path_builds_no_superoperator(self):
         net = random_shallow(4, 2, 6)
         apply_pure(net, product_state([KET0] * 4))

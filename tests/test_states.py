@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shallownet import states
+from shallownet import linalg, measurement, network, states
 from shallownet.states import (
     DensityState,
     PureState,
@@ -95,6 +95,45 @@ class TestMix:
         rho = mix(sep)
         assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
+
+
+class TestTrustedProducers:
+    """States the program derives skip only the positivity eigensolve; the
+    public constructor re-validates every one of them in full."""
+
+    def test_outputs_pass_the_public_constructor(self):
+        rng = np.random.default_rng(17)
+        rho = mix(states.random_separable_input(3, 2, rng, terms=3))
+        out = network.apply(network.random_shallow(3, 2, rng, noise=0.2), rho)
+        [post, *_] = measurement.strong_measure_exact(out, measurement.spectral_decompose(
+            linalg.tensor(*([linalg.SIGMA_X] * 3))))
+        weak = measurement.weak_measure_product(out, [linalg.SIGMA_Z] * 3, rng)
+        psi = states.random_pure_state(3, 2, rng)
+        for state in (rho, out, post.post_state, weak.post_state, psi.density()):
+            assert isinstance(state, DensityState)
+            again = DensityState(state.n, state.l, state.matrix)
+            assert np.array_equal(again.matrix, state.matrix)
+
+    def test_no_eigensolve_on_the_trusted_path(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        sep = states.random_separable_input(2, 2, rng)
+        net = network.random_shallow(2, 1, rng, noise=0.1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trusted state ran eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        network.apply(net, mix(sep))
+        states.random_pure_state(2, 2, rng).density()
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.diag([0.6, 0.6]), "trace"),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(4) / 4, "matrix dimension 4, expected 2"),
+    ])
+    def test_trusted_path_keeps_the_cheap_checks(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            DensityState._trusted(1, 2, matrix)
 
 
 class TestPureProduct:
@@ -205,6 +244,14 @@ class TestJson:
         doc = {"n": 1, "l": 2, "kind": "pure", "data": [[1.0, 0.0], entry]}
         with pytest.raises(ValueError, match="field 'data'"):
             states.state_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, data", [
+        ("pure", [[True, False], [False, False]]),
+        ("density", [[1.0, 0.0], [0, 0], [0, 0], [0.0, False]]),
+    ])
+    def test_bool_data_rejected(self, kind, data):
+        with pytest.raises(ValueError, match="field 'data'"):
+            states.state_from_dict({"n": 1, "l": 2, "kind": kind, "data": data})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

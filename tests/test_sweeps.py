@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shallownet import uncertainty
+from shallownet import sweeps, uncertainty
 from shallownet.measurement import weak_measure_product
 from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from shallownet.network import apply, random_shallow
@@ -141,6 +141,31 @@ class TestPureRowsOnTheStateVector:
         rows = uncertainty_bound_sweep(RunConfig(seed=seed, **BENCH_CONFIG))
         assert all(row["pass"] for row in rows)
         assert len(mixed) == sum(1 for row in rows if not _is_pure_row(row)) == 6
+
+    @pytest.mark.parametrize("seed", [1, 41])
+    def test_one_dense_eigensolve_per_noisy_row(self, monkeypatch, seed):
+        """A noisy k >= 1 row makes one eigvalsh call above 2 x 2 (the lhs trace
+        norm at v_M); its mixed input and channel output are not re-checked."""
+        eigvalsh, big = np.linalg.eigvalsh, []
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            if a.shape[-1] > 2:
+                big.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        per_row = []
+
+        def counted_check(*args, **kwargs):
+            before = len(big)
+            check = uncertainty.check_uncertainty_bound(*args, **kwargs)
+            per_row.append(len(big) - before)
+            return check
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(sweeps, "check_uncertainty_bound", counted_check)
+        rows = uncertainty_bound_sweep(RunConfig(seed=seed, **BENCH_CONFIG))
+        assert per_row == [0 if _is_pure_row(row) else 1 for row in rows]
+        assert len(big) == 6
 
     @pytest.mark.parametrize("seed", [1, 41])
     def test_rows_match_the_density_path(self, seed):

@@ -305,6 +305,22 @@ class TestMaxVarianceQubit:
             max_variance_qubit(random_pure_state(2, 3, np.random.default_rng(0)))
 
 
+class TestSpinMoments:
+    """M from one- and two-site marginals equals the covariance of the dense spin averages."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_dense_covariance(self, n):
+        rng = np.random.default_rng(70 + n)
+        ops = [averaging_matrix(half, n) for half in uncertainty.HALF_PAULIS]
+        product = random_product_input(n, 2, rng).pure_product()
+        for rho in (random_density_state(n, 2, rng), to_density(product), to_density(cat_state(n))):
+            m = rho.matrix
+            means = [np.trace(a @ m).real for a in ops]
+            dense = np.array([[np.trace((a @ b + b @ a) @ m).real / 2 - ma * mb
+                               for b, mb in zip(ops, means)] for a, ma in zip(ops, means)])
+            assert np.max(np.abs(uncertainty._spin_moments(m, n) - dense)) <= 1e-14
+
+
 class TestEstimate:
     def test_cat8(self):
         report = estimate_e(to_density(cat_state(8)))
