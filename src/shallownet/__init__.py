@@ -82,6 +82,7 @@ from .measurement import (
     strong_measure_exact,
     weak_measure_product,
     weak_measure_product_exact,
+    weak_measure_shots,
 )
 from .dsl import CircuitParseError, parse, serialize
 from .sweeps import RunConfig, run_sweep, trial_seed

@@ -64,13 +64,24 @@ def _report_format(text: str) -> str:
     return text
 
 
+def _json_lines_format(text: str) -> str:
+    """``--format`` of ``measure``, which writes JSON lines only."""
+    if text != "json":
+        raise ValueError(f"measure writes JSON lines: format must be 'json', got {text!r}")
+    return text
+
+
 def _resolve(args, spec: dict) -> dict:
     """Merge CLI flags (None means unset) over config-file values over defaults.
 
-    A config value its field's coercion refuses raises a ValueError naming the
-    field and the config file.
+    A config key no field reads, or a config value its field's coercion
+    refuses, raises a ValueError naming the key and the config file.
     """
     cfg = _read_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in spec:
+            raise ValueError(f"config file {args.config}: unknown key {key!r}; "
+                             f"this command reads {', '.join(sorted(spec))}")
     out = {}
     for dest, (coerce, default) in spec.items():
         val = getattr(args, dest)
@@ -388,10 +399,12 @@ def _measure_records(args, opts) -> list:
     pauli = SIGMA_X if observable == "parity-x" else SIGMA_Z
     # weak mode decomposes the site observable once for every site and every shot
     sites = [measurement.spectral_decompose(pauli)] * n if mode == "weak" else None
+    # weak post states, one per record, are built only to be written
+    posts = bool(args.states_dir)
 
     def exact_outcomes():
         if mode == "weak":
-            return measurement.weak_measure_product_exact(state, sites)
+            return measurement.weak_measure_product_exact(state, sites, post_states=posts)
         if mode == "strong":
             if isinstance(state, states.PureState):
                 return measurement.parity_measure_exact(state, pauli)
@@ -407,18 +420,17 @@ def _measure_records(args, opts) -> list:
 
     if opts["exact"]:
         return [record(o, None) for o in exact_outcomes()]
-    # weak shots walk one branch each: the exact weak list has up to 2^n records
-    outcomes = exact_outcomes() if mode != "weak" and opts["shots"] else None
-    records = []
-    for shot in range(opts["shots"]):
-        sub = sweeps.trial_seed(opts["seed"], shot)
-        rng = np.random.default_rng(sub)
-        if outcomes is None:
-            o = measurement.weak_measure_product(state, sites, rng=rng)
-        else:
-            o = measurement.sample_outcome(outcomes, rng)
-        records.append(record(o, sub))
-    return records
+    if not opts["shots"]:
+        return []
+    seeds = [sweeps.trial_seed(opts["seed"], shot) for shot in range(opts["shots"])]
+    rngs = [np.random.default_rng(sub) for sub in seeds]
+    if mode == "weak":
+        # one pass over the state builds the outcome tree; a shot is n draws down it
+        drawn = measurement.weak_measure_shots(state, sites, rngs, post_states=posts)
+    else:
+        outcomes = exact_outcomes()
+        drawn = [measurement.sample_outcome(outcomes, rng) for rng in rngs]
+    return [record(o, sub) for o, sub in zip(drawn, seeds)]
 
 
 def cmd_measure(args) -> int:
@@ -428,6 +440,7 @@ def cmd_measure(args) -> int:
         "shots": (int, 0),
         "seed": (int, 0),
         "input": (str, "zeros"),
+        "format": (_json_lines_format, "json"),
     })
     if opts["shots"] < 0:
         raise ValueError(f"--shots must be at least 0, got {opts['shots']}")

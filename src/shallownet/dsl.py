@@ -26,6 +26,7 @@ import re
 
 import numpy as np
 
+from . import linalg
 from .network import (
     ONE_SITE_GATES,
     TWO_SITE_GATES,
@@ -282,16 +283,16 @@ def _match_library_unitary(ch: LocalChannel, l: int) -> str | None:
     gate = ch.kraus[0]
     if len(ch.support) == 1:
         for name, ref in ONE_SITE_GATES.items():
-            if np.allclose(gate, ref, atol=MATCH_ATOL, rtol=0.0):
+            if linalg.close(gate, ref, MATCH_ATOL):
                 return f"gate {name} {ch.support[0]}"
         return None
     swap = _swap_permutation(l)
     swapped = swap @ gate @ swap
     a, b = ch.support
     for name, ref in TWO_SITE_GATES.items():
-        if np.allclose(gate, ref, atol=MATCH_ATOL, rtol=0.0):
+        if linalg.close(gate, ref, MATCH_ATOL):
             return f"gate {name} {a} {b}"
-        if np.allclose(swapped, ref, atol=MATCH_ATOL, rtol=0.0):
+        if linalg.close(swapped, ref, MATCH_ATOL):
             return f"gate {name} {b} {a}"
     return None
 
@@ -310,7 +311,7 @@ def _match_depolarizing(ch: LocalChannel) -> str | None:
     p = min(max(round(p, 12), 0.0), 1.0)
     candidate = depolarizing_kraus(p, d)
     for got, want in zip(ch.kraus, candidate):
-        if not np.allclose(got, want, atol=MATCH_ATOL, rtol=0.0):
+        if not linalg.close(got, want, MATCH_ATOL):
             return None
     sites = " ".join(str(s) for s in ch.support)
     return f"gate DEPOL({p!r}) {sites}"

@@ -10,11 +10,18 @@ directions, and the tests pin that contrast down quantitatively.
 
 Every procedure has an exact twin listing each outcome with its probability
 and post state.  The strong and conjugated samplers draw from their twin
-(``sample_outcome``); the weak sampler walks one branch site by site, since
-its twin has up to l^n leaves.  Samplers take an explicit numpy Generator
-and are deterministic given it.  Every procedure takes a PureState or a
-DensityState; a PureState stays a vector (projectors act on its amplitudes,
-site projectors on one axis of them) and its post states are PureStates.
+(``sample_outcome``).  The weak procedures share one outcome tree: the state
+is rotated into every site observable's eigenbasis once (one local action
+per site on a vector, two on a density matrix), the squared amplitudes or
+the diagonal, summed over each projector's eigenvectors, give the joint law
+of the site outcomes, and its prefix marginals give each site's law given
+the sites before it.  A shot is n draws down the tree, so many shots cost
+one pass over the state plus O(n) each; the exact twin lists the leaves.
+Post states are built only for the records that carry them.  Samplers take
+an explicit numpy Generator and are deterministic given it.  Every
+procedure takes a PureState or a DensityState; a PureState stays a vector
+(projectors act on its amplitudes, site projectors on one axis of them) and
+its post states are PureStates.
 
 The measurement depth bound ``||[abar, A*(P)]|| <= 2^k / sqrt(2n)`` is checked
 on the range of the propagated projection, never on a d x d operand: a
@@ -66,12 +73,11 @@ class SpectralDecomposition:
             if p.shape != (dim, dim):
                 raise ValueError("projectors must share one dimension")
             for j, q in enumerate(projs):
-                expect = p if i == j else np.zeros_like(p)
-                if not np.allclose(p @ q, expect, atol=PROJECTOR_ATOL, rtol=0.0):
+                if not linalg.close(p @ q, p if i == j else 0.0, PROJECTOR_ATOL):
                     raise ValueError("projectors are not orthogonal idempotents")
             total += p
             p.setflags(write=False)
-        if not np.allclose(total, np.eye(dim), atol=PROJECTOR_ATOL, rtol=0.0):
+        if not linalg.close(total, np.eye(dim), PROJECTOR_ATOL):
             raise ValueError("projectors do not resolve the identity")
         object.__setattr__(self, "eigenvalues", values)
         object.__setattr__(self, "projectors", projs)
@@ -190,7 +196,7 @@ def parity_measure_exact(psi: PureState, pauli: np.ndarray) -> list:
     matrix.  Outcomes come in the order of ``strong_measure_exact`` (-1, then +1).
     """
     p_site = linalg.require_hermitian(pauli)
-    if not np.allclose(p_site @ p_site, np.eye(p_site.shape[0]), atol=PROJECTOR_ATOL, rtol=0.0):
+    if not linalg.close(p_site @ p_site, np.eye(p_site.shape[0]), PROJECTOR_ATOL):
         raise ValueError("the parity's site operator must square to the identity")
     n, l = psi.n, psi.l
     t = psi.amplitudes.reshape((l,) * n)
@@ -229,83 +235,178 @@ class WeakOutcome:
     post_state: PureState | DensityState | None
 
 
-def _weak_setup(rho, site_observables):
-    """The state array, each site's spectral decomposition, and an outcome-record builder.
+def _site_decompositions(site_observables, n: int, l: int) -> list:
+    """Each site's spectral decomposition; equal site matrices share one.
 
     A site observable is a Hermitian matrix or its ``SpectralDecomposition``;
-    a caller that samples many shots (the CLI) passes decompositions, made
-    once.  Equal site matrices share one decomposition.
+    a caller that measures one observable on every site (the CLI) passes
+    one decomposition, made once.
     """
-    x = _state_array(rho)
     decs, distinct = [], {}
     for a in site_observables:
-        if isinstance(a, SpectralDecomposition):
-            decs.append(a)
-            continue
-        m = linalg.require_hermitian(a)
-        key = (m.shape, m.tobytes())
-        if key not in distinct:
-            distinct[key] = spectral_decompose(m)
-        decs.append(distinct[key])
-    if len(decs) != rho.n:
-        raise ValueError(f"need {rho.n} site observables, got {len(decs)}")
-
-    def record(values: tuple, p: float, post: np.ndarray, weight: float) -> WeakOutcome:
-        post_state = _post_state(post, weight, rho.n, rho.l)
-        return WeakOutcome(values, p, float(np.prod(values)), post_state)
-
-    return x, decs, record
+        if not isinstance(a, SpectralDecomposition):
+            m = linalg.require_hermitian(a)
+            key = (m.shape, m.tobytes())
+            if key not in distinct:
+                distinct[key] = spectral_decompose(m)
+            a = distinct[key]
+        if a.dim != l:
+            raise ValueError(f"site observable is {a.dim}x{a.dim}, expected {l}x{l}")
+        decs.append(a)
+    if len(decs) != n:
+        raise ValueError(f"need {n} site observables, got {len(decs)}")
+    return decs
 
 
-def _site_marginal(x: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
-    """The l x l reduced state of one site of a state array."""
-    if x.ndim == 1:
-        t = x.reshape(l ** (site - 1), l, -1)
-        return np.einsum("aib,ajb->ij", t, t.conj())
-    return linalg.reduce_to_site(x, site, n, l)
+def _eigenbasis(dec: SpectralDecomposition) -> tuple:
+    """An orthonormal eigenbasis V of a site observable, its columns grouped by
+    projector, and the group bounds: projector i holds columns
+    ``bounds[i]:bounds[i + 1]``."""
+    blocks = []
+    for p in dec.projectors:
+        eig, vec = np.linalg.eigh(p)
+        blocks.append(vec[:, eig > 0.5])
+    return np.hstack(blocks), np.cumsum([0] + [b.shape[1] for b in blocks])
 
 
-def weak_measure_product_exact(rho, site_observables) -> list:
+def _pick(w: np.ndarray, u: np.ndarray) -> tuple:
+    """One categorical draw per row of the weights w, from one uniform each.
+
+    Each row is normalized to p and searched on its cumulative sum, which is
+    the index ``Generator.choice(len(p), p=p)`` picks from the same uniform.
+    Returns the normalized rows and the picked indices.
+    """
+    p = w / w.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return p, np.sum(cdf <= u[:, None], axis=1)
+
+
+class _OutcomeTree:
+    """The joint distribution of per-site eigenbasis outcomes, with its
+    prefix marginals.
+
+    The state is rotated into every site's eigenbasis (one local action per
+    site on a vector, two on a density matrix); the squared amplitudes or the
+    diagonal, summed over the eigenvectors of each projector, give the joint
+    law ``tree[n]`` of the projector indices, and ``tree[k]`` sums it over
+    sites k+1..n.  A shot is n draws down the tree, each conditioned on the
+    picks before it.
+    """
+
+    def __init__(self, rho, decs):
+        n, l = rho.n, rho.l
+        self.n, self.l, self.decs = n, l, decs
+        bases = {}
+        for dec in decs:
+            if id(dec) not in bases:
+                bases[id(dec)] = _eigenbasis(dec)
+        self.bases = [bases[id(dec)] for dec in decs]
+        x = _state_array(rho)
+        self.pure = x.ndim == 1
+        t = x.reshape((l,) * (n if self.pure else 2 * n))
+        for k, (v, _) in enumerate(self.bases):
+            t = linalg.act_local(v.conj().T, [k], t, l)
+            if not self.pure:
+                t = linalg.act_local(v.T, [n + k], t, l)
+        self.rotated = t
+        if self.pure:
+            joint = t.real**2 + t.imag**2
+        else:
+            joint = np.maximum(np.diagonal(t.reshape(l**n, l**n)).real, 0.0).reshape((l,) * n)
+        for k, (_, bounds) in enumerate(self.bases):
+            if np.any(np.diff(bounds) != 1):  # a projector of rank other than one
+                cols = np.arange(l)
+                groups = (bounds[:-1, None] <= cols) & (cols < bounds[1:, None])
+                joint = linalg.act_local(groups.astype(float), [k], joint, l)
+        tree = [joint]
+        for _ in range(n):
+            tree.append(tree[-1].sum(axis=-1))
+        self.tree = tree[::-1]
+
+    def draw(self, rngs) -> list:
+        """The projector indices and the probability of one shot per generator.
+
+        Each shot reads ``rng.random(n)``: its k-th uniform picks site k from
+        the tree's conditional law given the earlier picks, and the shot's
+        probability is the product of the conditional probabilities it used.
+        """
+        u = np.array([rng.random(self.n) for rng in rngs]).reshape(len(rngs), self.n)
+        rows = np.arange(len(rngs))
+        prefix = np.zeros(len(rngs), dtype=np.intp)
+        probability = np.ones(len(rngs))
+        picks = np.empty((len(rngs), self.n), dtype=np.intp)
+        for k in range(self.n):
+            m = self.tree[k + 1].shape[-1]
+            p, idx = _pick(self.tree[k + 1].reshape(-1, m)[prefix], u[:, k])
+            probability *= p[rows, idx]
+            picks[:, k] = idx
+            prefix = prefix * m + idx
+        return list(zip(map(tuple, picks.tolist()), probability.tolist()))
+
+    def leaves(self) -> list:
+        """The projector indices and probability of every outcome above
+        ``PROBABILITY_FLOOR``, lexicographic (site 1 slowest)."""
+        joint = self.tree[-1]
+        return [(tuple(i), float(joint[tuple(i)]))
+                for i in np.argwhere(joint > PROBABILITY_FLOOR).tolist()]
+
+    def outcome(self, picks: tuple, probability: float, with_post: bool) -> WeakOutcome:
+        values = tuple(dec.eigenvalues[i] for dec, i in zip(self.decs, picks))
+        post = self.post_state(picks) if with_post else None
+        return WeakOutcome(values, probability, float(np.prod(values)), post)
+
+    def post_state(self, picks: tuple):
+        """The normalized post state of one outcome: the rotated state kept on
+        the outcome's eigenvectors and rotated back by them.  With rank-one
+        site projectors this is the product of the site eigenvectors times
+        the phase of the one amplitude kept."""
+        n, l = self.n, self.l
+        index = tuple(slice(b[i], b[i + 1]) for (_, b), i in zip(self.bases, picks))
+        t = self.rotated[index if self.pure else index * 2]
+        for k, ((v, b), i) in enumerate(zip(self.bases, picks)):
+            block = v[:, b[i]:b[i + 1]]
+            t = linalg.act_local(block, [k], t, l)
+            if not self.pure:
+                t = linalg.act_local(block.conj(), [n + k], t, l)
+        x = t.reshape(-1) if self.pure else t.reshape(l**n, l**n)
+        return _post_state(x, _weight(x), n, l)
+
+
+def _outcome_tree(rho, site_observables) -> _OutcomeTree:
+    return _OutcomeTree(rho, _site_decompositions(site_observables, rho.n, rho.l))
+
+
+def weak_measure_product_exact(rho, site_observables, post_states: bool = True) -> list:
     """Joint distribution of per-site eigenbasis measurements.
 
     The combined value is the product of the site outcomes, matching the
     spectrum of the product observable built from the same site operators,
-    each a Hermitian matrix or its ``SpectralDecomposition``.  A PureState
-    input walks its amplitudes and gives PureState post states.
+    each a Hermitian matrix or its ``SpectralDecomposition``.  Outcomes are
+    the leaves of the outcome tree, up to l^n of them, so post states (each
+    of the state's size; PureStates for a PureState input) are built only
+    when asked for.
     """
-    x, decs, record = _weak_setup(rho, site_observables)
-    n, l = rho.n, rho.l
-    outcomes: list[WeakOutcome] = []
+    tree = _outcome_tree(rho, site_observables)
+    return [tree.outcome(picks, p, post_states) for picks, p in tree.leaves()]
 
-    def walk(site: int, m: np.ndarray, values: tuple):
-        if site == n:
-            p = _weight(m)
-            if p > PROBABILITY_FLOOR:
-                outcomes.append(record(values, p, m, p))
-            return
-        for value, q in zip(decs[site].eigenvalues, decs[site].projectors):
-            walk(site + 1, _collapse_site(m, q, site + 1, n, l), values + (value,))
 
-    walk(0, x, ())
-    return outcomes
+def weak_measure_shots(rho, site_observables, rngs, post_states: bool = True) -> list:
+    """One sampled record of ``weak_measure_product_exact`` per generator.
+
+    The outcome tree is built once; each shot is then n draws down it, so
+    many shots cost one pass over the state plus O(n) each.  Post states are
+    built only when asked for.  Deterministic given the generators.
+    """
+    tree = _outcome_tree(rho, site_observables)
+    return [tree.outcome(picks, p, post_states) for picks, p in tree.draw(rngs)]
 
 
 def weak_measure_product(rho, site_observables, rng: np.random.Generator) -> WeakOutcome:
-    """Sample one record of ``weak_measure_product_exact`` site by site,
-    collapsing as measurements proceed; deterministic given the generator."""
-    current, decs, record = _weak_setup(rho, site_observables)
-    n, l = rho.n, rho.l
-    joint, values = 1.0, ()
-    for site, dec in enumerate(decs, start=1):
-        marginal = _site_marginal(current, site, n, l)
-        probs = np.array([max(float(np.real(np.trace(q @ marginal))), 0.0) for q in dec.projectors])
-        probs /= probs.sum()
-        idx = int(rng.choice(len(probs), p=probs))
-        joint *= float(probs[idx])
-        values += (dec.eigenvalues[idx],)
-        current = _collapse_site(current, dec.projectors[idx], site, n, l)
-        current /= probs[idx] if current.ndim == 2 else math.sqrt(probs[idx])
-    return record(values, joint, current, 1.0)
+    """Sample one record of ``weak_measure_product_exact``, site by site from
+    the conditional laws; deterministic given the generator."""
+    (outcome,) = weak_measure_shots(rho, site_observables, [rng])
+    return outcome
 
 
 def combined_value_distribution(outcomes) -> dict:
@@ -341,7 +442,7 @@ class ProductProjection:
                     f"factor {i} is {f.shape[0]}x{f.shape[1]}, "
                     f"but factor 0 is {factors[0].shape[0]}x{factors[0].shape[1]}"
                 )
-            if not np.allclose(f @ f, f, atol=PROJECTOR_ATOL, rtol=0.0):
+            if not linalg.close(f @ f, f, PROJECTOR_ATOL):
                 raise ValueError("factor is not idempotent")
             f.setflags(write=False)
         object.__setattr__(self, "factors", factors)
@@ -365,7 +466,7 @@ def is_product_projection(p: np.ndarray, l: int) -> ProductProjection | None:
     reconstruction is then compared entrywise against the input.
     """
     m = linalg.require_hermitian(p, atol=PROJECTOR_ATOL)
-    if not np.allclose(m @ m, m, atol=PROJECTOR_ATOL, rtol=0.0):
+    if not linalg.close(m @ m, m, PROJECTOR_ATOL):
         raise ValueError("input is not an orthogonal projection")
     n = _sites_of(m.shape[0], l)
     factors = []

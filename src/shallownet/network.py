@@ -117,7 +117,7 @@ class LocalChannel:
                 raise ValueError("Kraus operators must be square and equal-sized")
             k.setflags(write=False)
         total = sum(k.conj().T @ k for k in ops)
-        if not np.allclose(total, np.eye(dim), atol=KRAUS_ATOL, rtol=0.0):
+        if not linalg.close(total, np.eye(dim), KRAUS_ATOL):
             raise ValueError("Kraus family is not trace preserving (sum K^dag K != I)")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "kraus", ops)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from shallownet import measurement, states, uncertainty
+from shallownet import linalg, measurement, states, uncertainty
 from shallownet.cli import main
 from shallownet.dsl import serialize
 from shallownet.linalg import SIGMA_X, operator_norm, tensor
@@ -514,6 +514,44 @@ class TestMeasure:
         assert len(capsys.readouterr().out.splitlines()) == 20
         assert len(calls) == 1
 
+    def test_weak_shots_cost_one_pass(self, capsys, monkeypatch, ladder8):
+        calls = []
+        real = linalg.act_local
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "act_local", counted)
+        made = []
+        for shots in ("20", "200"):
+            calls.clear()
+            assert main(["measure", "--circuit", ladder8, "--mode", "weak", "--shots", shots]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == int(shots)
+            made.append(len(calls))
+        assert made[0] == made[1] > 0
+
+    def test_weak_post_states_built_only_to_be_written(self, capsys, monkeypatch, tmp_path,
+                                                       ladder8):
+        built = []
+        real = measurement._OutcomeTree.post_state
+
+        def counted(self, picks):
+            built.append(picks)
+            return real(self, picks)
+
+        monkeypatch.setattr(measurement._OutcomeTree, "post_state", counted)
+        for flags in (["--exact"], ["--shots", "5"]):
+            assert main(["measure", "--circuit", ladder8, "--mode", "weak", *flags]) == 0
+        assert built == []
+        capsys.readouterr()
+        posts = tmp_path / "posts"
+        for flags in (["--exact"], ["--shots", "5"]):
+            built.clear()
+            assert main(["measure", "--circuit", ladder8, "--mode", "weak", *flags,
+                         "--states-dir", str(posts)]) == 0
+            assert len(built) == len(capsys.readouterr().out.splitlines()) > 0
+
     def test_mode_observable_mismatch(self, capsys, ladder8):
         code = main(["measure", "--circuit", ladder8, "--mode", "conjugated",
                      "--observable", "parity-z", "--exact"])
@@ -714,6 +752,7 @@ class TestCsvAndConfig:
     @pytest.mark.parametrize("line, text", [
         ("observable=foo", "unknown observable 'foo'"),
         ("mode=foo", "unknown mode 'foo'"),
+        ("format=csv", "field 'format': measure writes JSON lines: format must be 'json', got 'csv'"),
     ])
     def test_measure_config_value_checked(self, tmp_path, capsys, ladder8, line, text):
         cfg = tmp_path / "m.cfg"
@@ -729,6 +768,16 @@ class TestCsvAndConfig:
                 "verify": ["verify", "2", "--trials", "1"], "lightcone": ["lightcone", ladder8]}
         assert_usage_error(capsys, [*argv[command], "--config", str(cfg)],
                            f"config file {cfg}: field 'format': must be 'json' or 'csv', got 'xml'")
+
+    def test_measure_format_flag_refused(self, capsys, ladder8):
+        assert_usage_error(capsys, ["measure", "--circuit", ladder8, "--exact", "--format", "csv"],
+                           "format must be 'json', got 'csv'")
+
+    def test_unknown_config_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("trails=3\n")
+        assert_usage_error(capsys, ["verify", "2", "--config", str(cfg)],
+                           f"config file {cfg}: unknown key 'trails'")
 
     def test_int_lists_from_config_and_flags(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

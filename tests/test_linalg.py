@@ -102,6 +102,14 @@ class TestActLocal:
         got = linalg.act_local(op, [n + a for a in axes], x.reshape((l,) * (2 * n)), l)
         assert np.allclose(got.reshape(d, d), x @ dense.T, atol=1e-12)
 
+    def test_rectangular_operator_on_one_axis(self):
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        t = rng.normal(size=(3, 2, 3)) + 1j * rng.normal(size=(3, 2, 3))
+        got = linalg.act_local(b, [1], t, 3)
+        assert got.shape == (3, 3, 3)
+        assert np.allclose(got, np.einsum("ij,ajb->aib", b, t), atol=1e-12)
+
 
 class TestOperatorNorm:
     def test_pauli(self):
@@ -204,6 +212,23 @@ def test_hermiticity_is_rejected_not_repaired():
     bad = np.array([[0.0, 1e-6], [0.0, 0.0]])
     with pytest.raises(ValueError):
         linalg.require_hermitian(bad)
+
+
+@pytest.mark.parametrize("atol", [linalg.UNITARY_ATOL, 1e-15])
+@pytest.mark.parametrize("deviation, accepted", [
+    (0.5, True),
+    (-0.5j, True),
+    (2.0, False),
+    (2.0j, False),
+    (float("nan"), False),
+])
+def test_close_is_an_absolute_entrywise_bound(atol, deviation, accepted):
+    # the tolerances of the unitary, Kraus, projector and gate-matching checks
+    a = random_matrix(np.random.default_rng(6), 4)
+    b = a.copy()
+    b[2, 1] += deviation * atol
+    assert linalg.close(a, b, atol) is accepted
+    assert linalg.close(b, a, atol) is accepted
 
 
 def test_nan_entry_is_not_hermitian():

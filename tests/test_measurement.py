@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shallownet import linalg, measurement, network, states, uncertainty
@@ -24,6 +26,7 @@ from shallownet.measurement import (
     strong_measure_exact,
     weak_measure_product,
     weak_measure_product_exact,
+    weak_measure_shots,
 )
 from shallownet.network import apply_dual, identity_network, random_shallow
 from shallownet.states import (
@@ -278,6 +281,141 @@ class TestPureMatchesDensity:
     def test_parity_rejects_non_involution(self):
         with pytest.raises(ValueError, match="square to the identity"):
             parity_measure_exact(zeros(2), SIGMA_X / 2)
+
+
+def reference_decompositions(site_observables):
+    return [a if isinstance(a, measurement.SpectralDecomposition) else spectral_decompose(a)
+            for a in site_observables]
+
+
+def reference_weak_exact(rho, site_observables) -> list:
+    """Reference for the exact weak list: the recursive collapse walk over
+    every branch, one site projector after another on the whole state."""
+    decs = reference_decompositions(site_observables)
+    n, l = rho.n, rho.l
+    outcomes = []
+
+    def walk(site, m, values):
+        if site == n:
+            p = measurement._weight(m)
+            if p > measurement.PROBABILITY_FLOOR:
+                outcomes.append(measurement.WeakOutcome(
+                    values, p, float(np.prod(values)), measurement._post_state(m, p, n, l)))
+            return
+        for value, q in zip(decs[site].eigenvalues, decs[site].projectors):
+            walk(site + 1, measurement._collapse_site(m, q, site + 1, n, l), values + (value,))
+
+    walk(0, measurement._state_array(rho), ())
+    return outcomes
+
+
+def reference_weak_sample(rho, site_observables, rng):
+    """Reference for one weak shot: each site's outcome drawn from the
+    reduced state of the state collapsed so far."""
+    decs = reference_decompositions(site_observables)
+    n, l = rho.n, rho.l
+    current = measurement._state_array(rho)
+    joint, values = 1.0, ()
+    for site, dec in enumerate(decs, start=1):
+        if current.ndim == 1:
+            t = current.reshape(l ** (site - 1), l, -1)
+            marginal = np.einsum("aib,ajb->ij", t, t.conj())
+        else:
+            marginal = linalg.reduce_to_site(current, site, n, l)
+        probs = np.array([max(float(np.real(np.trace(q @ marginal))), 0.0) for q in dec.projectors])
+        probs /= probs.sum()
+        idx = int(rng.choice(len(probs), p=probs))
+        joint *= float(probs[idx])
+        values += (dec.eigenvalues[idx],)
+        current = measurement._collapse_site(current, dec.projectors[idx], site, n, l)
+        current /= probs[idx] if current.ndim == 2 else math.sqrt(probs[idx])
+    return measurement.WeakOutcome(values, joint, float(np.prod(values)),
+                                   measurement._post_state(current, 1.0, n, l))
+
+
+def assert_same_records(got, want):
+    assert [o.site_outcomes for o in got] == [w.site_outcomes for w in want]
+    for o, w in zip(got, want):
+        assert o.combined_value == w.combined_value
+        assert abs(o.probability - w.probability) <= 1e-12
+        assert type(o.post_state) is type(w.post_state)
+        a, b = measurement._state_array(o.post_state), measurement._state_array(w.post_state)
+        assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def site_observable(l, degenerate, rng):
+    """A random Hermitian l x l matrix; with ``degenerate``, its first two
+    eigenvalues coincide (for l = 2, a multiple of the identity)."""
+    q, _ = np.linalg.qr(rng.normal(size=(l, l)) + 1j * rng.normal(size=(l, l)))
+    eig = rng.normal(size=l)
+    if degenerate:
+        eig[1] = eig[0]
+    return (q * eig) @ q.conj().T
+
+
+class TestOutcomeTreeMatchesWalk:
+    """The outcome tree against the site-by-site collapse walk."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 5), l=st.sampled_from([2, 3]), pure=st.booleans(),
+           degenerate=st.lists(st.booleans(), min_size=5, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_shots_and_leaves(self, n, l, pure, degenerate, seed):
+        rng = np.random.default_rng(seed)
+        if pure:
+            rho = states.random_pure_state(n, l, rng)
+        else:
+            rho = states.random_density_state(n, l, rng, rank=int(rng.integers(1, 4)))
+        obs = [site_observable(l, degenerate[i], rng) for i in range(n)]
+        for shot in range(4):
+            got = weak_measure_product(rho, obs, np.random.default_rng([seed, shot]))
+            want = reference_weak_sample(rho, obs, np.random.default_rng([seed, shot]))
+            assert_same_records([got], [want])
+        assert_same_records(weak_measure_product_exact(rho, obs), reference_weak_exact(rho, obs))
+
+    def test_shots_equal_one_shot_calls(self):
+        rng = np.random.default_rng(17)
+        rho = states.random_density_state(4, 2, rng, rank=2)
+        obs = [site_observable(2, False, rng) for _ in range(4)]
+        seeds = range(30)
+        shots = weak_measure_shots(rho, obs, [np.random.default_rng(s) for s in seeds])
+        for s, o in zip(seeds, shots):
+            one = weak_measure_product(rho, obs, np.random.default_rng(s))
+            assert (o.site_outcomes, o.probability) == (one.site_outcomes, one.probability)
+            assert np.array_equal(o.post_state.matrix, one.post_state.matrix)
+        bare = weak_measure_shots(rho, obs, [np.random.default_rng(s) for s in seeds],
+                                  post_states=False)
+        assert [(o.site_outcomes, o.probability) for o in bare] == \
+            [(o.site_outcomes, o.probability) for o in shots]
+        assert all(o.post_state is None for o in bare)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pick_is_generator_choice(self, weights, seed):
+        p = np.array(weights)
+        assume(p.sum() > 1e-3)
+        p /= p.sum()
+        _, (idx,) = measurement._pick(p[None, :], np.array([np.random.default_rng(seed).random()]))
+        assert idx == np.random.default_rng(seed).choice(len(p), p=p)
+
+    def test_zero_projector_is_never_drawn(self):
+        rng = np.random.default_rng(23)
+        x = spectral_decompose(SIGMA_X)
+        padded = measurement.SpectralDecomposition(
+            (-1.0, 0.0, 1.0), (x.projectors[0], np.zeros((2, 2)), x.projectors[1]))
+        obs = [padded, SIGMA_Z, padded]
+        for rho in (states.random_pure_state(3, 2, rng), states.random_density_state(3, 2, rng)):
+            exact = weak_measure_product_exact(rho, obs)
+            assert_same_records(exact, reference_weak_exact(rho, obs))
+            assert all(0.0 not in o.site_outcomes[::2] for o in exact)
+            for seed in range(8):
+                assert_same_records([weak_measure_product(rho, obs, np.random.default_rng(seed))],
+                                    [reference_weak_sample(rho, obs, np.random.default_rng(seed))])
+
+    def test_site_observable_of_wrong_dimension_refused(self):
+        with pytest.raises(ValueError, match="expected 2x2"):
+            weak_measure_product_exact(zeros(2), [SIGMA_X, np.eye(3)])
 
 
 class TestProductProjection:
