@@ -10,7 +10,7 @@ state carries.
 import numpy as np
 
 from shallownet import (
-    apply_pure,
+    apply,
     cat_ladder,
     cat_state,
     estimate_e,
@@ -28,7 +28,7 @@ print(serialize(net))
 
 # --- run it on |00000000> -------------------------------------------------
 start = product_state([KET0] * 8)
-final = apply_pure(net, start)
+final = apply(net, start)  # a unitary network keeps a state vector a vector
 print(f"fidelity to cat(8): {fidelity(final, cat_state(8)):.12f}")
 
 # --- how "macroscopic" is the superposition? ------------------------------

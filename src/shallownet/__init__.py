@@ -34,7 +34,6 @@ from .network import (
     Step,
     apply,
     apply_dual,
-    apply_pure,
     canonical_depth,
     cat_ladder,
     identity_network,

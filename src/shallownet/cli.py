@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, lightcone, measurement, sweeps, uncertainty
 from . import dsl, network, states
 from .dsl import CircuitParseError
-from .linalg import SIGMA_X, SIGMA_Z, tensor
+from .linalg import SIGMA_X, SIGMA_Z
 
 JSON_KW = {"sort_keys": True, "indent": 2}
 # Largest state dimension for which erho writes the d x d witness (a 4096 x 4096
@@ -176,13 +176,6 @@ def _build_input(spec: str, n: int, l: int):
     raise ValueError(f"unknown input spec {spec!r}")
 
 
-def _state_after(net: network.Network, input_spec: str):
-    state = _build_input(input_spec, net.n, net.l)
-    if isinstance(state, states.PureState) and net.is_unitary():
-        return network.apply_pure(net, state)
-    return network.apply(net, states.to_density(state))
-
-
 def _load_state(args) -> tuple:
     """State from a .json state file, or from --circuit plus --input."""
     source = getattr(args, "state", None)
@@ -193,7 +186,8 @@ def _load_state(args) -> tuple:
         raise ValueError("provide a state file or --circuit with --input")
     net = _load_circuit(args.circuit)
     input_spec = args.input or "zeros"
-    return _state_after(net, input_spec), {"circuit": args.circuit, "input": input_spec}
+    state = network.apply(net, _build_input(input_spec, net.n, net.l))
+    return state, {"circuit": args.circuit, "input": input_spec}
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +202,7 @@ def cmd_simulate(args) -> int:
         "tol": (float, 1e-9),
     })
     net = _load_circuit(args.circuit)
-    state = _state_after(net, opts["input"])
+    state = network.apply(net, _build_input(opts["input"], net.n, net.l))
     report = {
         "version": __version__,
         "config": {"circuit": args.circuit, **opts},
@@ -406,10 +400,7 @@ def _measure_records(args, opts) -> list:
         if mode == "weak":
             return measurement.weak_measure_product_exact(state, sites, post_states=posts)
         if mode == "strong":
-            if isinstance(state, states.PureState):
-                return measurement.parity_measure_exact(state, pauli)
-            parity = measurement.spectral_decompose(tensor(*([pauli] * n)))
-            return measurement.strong_measure_exact(state, parity)
+            return measurement.parity_measure_exact(state, pauli)
         return measurement.conjugated_strong_measure_exact(
             state, measurement.build_parity_conjugator(n)
         )

@@ -75,7 +75,19 @@ def _parse_complex(tok: str, line: int, col: int) -> complex:
     parts = tok.split(",")
     if len(parts) != 2:
         raise CircuitParseError(f"complex entry {tok!r} must be re,im", line, col, "syntax")
-    return complex(_parse_float(parts[0], line, col), _parse_float(parts[1], line, col))
+    z = complex(_parse_float(parts[0], line, col), _parse_float(parts[1], line, col))
+    if not np.isfinite(z):
+        raise CircuitParseError(f"complex entry {tok!r} is not finite", line, col, "syntax")
+    return z
+
+
+def _channel(sites: tuple, kraus: tuple, line: int, col: int) -> LocalChannel:
+    """The channel, or a located ``syntax`` error with the reason its Kraus
+    family was refused (not trace preserving, for one)."""
+    try:
+        return LocalChannel(sites, kraus)
+    except ValueError as err:
+        raise CircuitParseError(str(err), line, col, "syntax") from None
 
 
 class _Parser:
@@ -227,7 +239,7 @@ def _parse_gate(p: _Parser, toks, n: int, l: int, line: int) -> LocalChannel:
         return LocalChannel(sites, tuple(depolarizing_kraus(strength, dim)))
 
     if name == "UNITARY":
-        return LocalChannel(sites, (p.read_matrix(dim, line),))
+        return _channel(sites, (p.read_matrix(dim, line),), line, name_col)
 
     if name in ONE_SITE_GATES:
         if len(sites) != 1:
@@ -254,7 +266,7 @@ def _parse_channel(p: _Parser, toks, n: int, l: int, line: int) -> LocalChannel:
     sites = _check_sites(toks[3:], n, line)
     dim = l ** len(sites)
     ops = tuple(p.read_matrix(dim, line) for _ in range(count))
-    return LocalChannel(sites, ops)
+    return _channel(sites, ops, line, toks[0][1])
 
 
 # ---------------------------------------------------------------------------

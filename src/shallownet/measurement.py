@@ -10,13 +10,17 @@ directions, and the tests pin that contrast down quantitatively.
 
 Every procedure has an exact twin listing each outcome with its probability
 and post state.  The strong and conjugated samplers draw from their twin
-(``sample_outcome``).  The weak procedures share one outcome tree: the state
-is rotated into every site observable's eigenbasis once (one local action
-per site on a vector, two on a density matrix), the squared amplitudes or
-the diagonal, summed over each projector's eigenvectors, give the joint law
-of the site outcomes, and its prefix marginals give each site's law given
-the sites before it.  A shot is n draws down the tree, so many shots cost
-one pass over the state plus O(n) each; the exact twin lists the leaves.
+(``sample_outcome``).  ``strong_measure_exact`` takes any spectral
+decomposition; the parity ``p^{(x)n}`` has a closed form
+(``parity_measure_exact``) from n site flips of a vector, or 3n of a density
+matrix, with no d x d operator.  The weak procedures share one outcome tree:
+the state is rotated into every site observable's eigenbasis once (one local
+action per site on a vector, two on a density matrix), the squared
+amplitudes or the diagonal, summed over each projector's eigenvectors, give
+the joint law of the site outcomes, and its prefix marginals give each
+site's law given the sites before it.  A shot is n draws down the tree, so
+many shots cost one pass over the state plus O(n) each; the exact twin lists
+the leaves.
 Post states are built only for the records that carry them.  Samplers take
 an explicit numpy Generator and are deterministic given it.  Every
 procedure takes a PureState or a DensityState; a PureState stays a vector
@@ -43,8 +47,7 @@ import numpy as np
 from . import linalg
 from .linalg import SIGMA_X
 from .network import (
-    CNOT, LocalChannel, Network, Step, _apply_unitary_block, _conjugate_by_channels, apply,
-    apply_pure, invert_unitary,
+    CNOT, LocalChannel, Network, Step, _apply_unitary_block, apply, invert_unitary,
 )
 from .states import DensityState, PureState
 from .uncertainty import SiteObservable, _commutator_on_range
@@ -160,12 +163,21 @@ def _post_state(x: np.ndarray, p: float, n: int, l: int):
     return DensityState._trusted(n, l, x / p)
 
 
+def _act_site(op: np.ndarray, k: int, t: np.ndarray, n: int, l: int) -> np.ndarray:
+    """A site operator on site k + 1 of a state tensor: ``op`` on axis k of a
+    vector's ``(l,)*n`` tensor, and on a matrix's ``(l,)*2n`` tensor also
+    ``conj(op)`` on column axis n + k, which is ``op rho op^dag`` on that site.
+    ``op`` may be any m x l matrix (``linalg.act_local``)."""
+    t = linalg.act_local(op, [k], t, l)
+    if t.ndim == 2 * n:
+        t = linalg.act_local(op.conj(), [n + k], t, l)
+    return t
+
+
 def _collapse_site(x: np.ndarray, q: np.ndarray, site: int, n: int, l: int) -> np.ndarray:
-    """A site projector q applied to a state array: ``q psi`` on one axis of a
-    vector, ``q rho q^dag`` on one row and one column axis of a matrix."""
-    if x.ndim == 1:
-        return linalg.act_local(q, [site - 1], x.reshape((l,) * n), l).reshape(-1)
-    return _conjugate_by_channels(x, [((site,), np.kron(q, q.conj()))], n, l)
+    """A site projector q applied to a state array: ``q psi`` on a vector,
+    ``q rho q^dag`` on a matrix."""
+    return _act_site(q, site - 1, x.reshape((l,) * (n * x.ndim)), n, l).reshape(x.shape)
 
 
 def strong_measure_exact(rho, dec: SpectralDecomposition) -> list:
@@ -187,25 +199,40 @@ def strong_measure_exact(rho, dec: SpectralDecomposition) -> list:
     return outcomes
 
 
-def parity_measure_exact(psi: PureState, pauli: np.ndarray) -> list:
-    """Strong measurement of the parity ``P^{(x)n}`` on a state vector, P a
-    Hermitian single-site involution (``sigma_x`` or ``sigma_z``).
+def parity_measure_exact(rho, pauli: np.ndarray) -> list:
+    """Strong measurement of the parity ``P = p^{(x)n}``, p a Hermitian l x l
+    involution (``sigma_x`` or ``sigma_z``), with no d x d operator formed.
 
-    The projectors are ``(I -+ P^{(x)n}) / 2``, so ``P^{(x)n} psi`` (n local
-    actions) gives both branches ``(psi -+ P^{(x)n} psi) / 2`` with no d x d
-    matrix.  Outcomes come in the order of ``strong_measure_exact`` (-1, then +1).
+    The projectors are ``Q_v = (I + v P) / 2`` for v = -1, +1.  n row flips
+    (p on every site's row axis) give ``P x``, so ``Q_v x = (x + v P x) / 2``:
+    the branch itself for a vector.  On a density matrix the branch is
+    ``Q_v rho Q_v = (y + v y P) / 2`` with ``y = Q_v rho``, and ``y P`` is n
+    column flips (``p^T = conj(p)`` on every column axis).  Outcomes come in
+    the order of ``strong_measure_exact`` (-1, then +1); post states are
+    PureStates for a PureState input.
     """
     p_site = linalg.require_hermitian(pauli)
-    if not linalg.close(p_site @ p_site, np.eye(p_site.shape[0]), PROJECTOR_ATOL):
+    n, l = rho.n, rho.l
+    if p_site.shape[0] != l:
+        raise ValueError(f"the parity's site operator is {p_site.shape[0]}x{p_site.shape[0]}, "
+                         f"expected {l}x{l}")
+    if not linalg.close(p_site @ p_site, np.eye(l), PROJECTOR_ATOL):
         raise ValueError("the parity's site operator must square to the identity")
-    n, l = psi.n, psi.l
-    t = psi.amplitudes.reshape((l,) * n)
-    for i in range(n):
-        t = linalg.act_local(p_site, [i], t, l)
-    flipped = t.reshape(-1)
+    x = _state_array(rho)
+    shape = (l,) * (n * x.ndim)
+
+    def flip(t: np.ndarray, op: np.ndarray, first_axis: int) -> np.ndarray:
+        t = t.reshape(shape)
+        for i in range(n):
+            t = linalg.act_local(op, [first_axis + i], t, l)
+        return t.reshape(x.shape)
+
+    flipped = flip(x, p_site, 0)
     outcomes = []
     for value in (-1.0, 1.0):
-        y = (psi.amplitudes + value * flipped) / 2
+        y = (x + value * flipped) / 2
+        if x.ndim == 2:
+            y = (y + value * flip(y, p_site.conj(), n)) / 2
         p = _weight(y)
         if p > PROBABILITY_FLOOR:
             outcomes.append(MeasurementOutcome(value, p, _post_state(y, p, n, l)))
@@ -304,11 +331,9 @@ class _OutcomeTree:
         self.bases = [bases[id(dec)] for dec in decs]
         x = _state_array(rho)
         self.pure = x.ndim == 1
-        t = x.reshape((l,) * (n if self.pure else 2 * n))
+        t = x.reshape((l,) * (n * x.ndim))
         for k, (v, _) in enumerate(self.bases):
-            t = linalg.act_local(v.conj().T, [k], t, l)
-            if not self.pure:
-                t = linalg.act_local(v.T, [n + k], t, l)
+            t = _act_site(v.conj().T, k, t, n, l)
         self.rotated = t
         if self.pure:
             joint = t.real**2 + t.imag**2
@@ -365,10 +390,7 @@ class _OutcomeTree:
         index = tuple(slice(b[i], b[i + 1]) for (_, b), i in zip(self.bases, picks))
         t = self.rotated[index if self.pure else index * 2]
         for k, ((v, b), i) in enumerate(zip(self.bases, picks)):
-            block = v[:, b[i]:b[i + 1]]
-            t = linalg.act_local(block, [k], t, l)
-            if not self.pure:
-                t = linalg.act_local(block.conj(), [n + k], t, l)
+            t = _act_site(v[:, b[i]:b[i + 1]], k, t, n, l)
         x = t.reshape(-1) if self.pure else t.reshape(l**n, l**n)
         return _post_state(x, _weight(x), n, l)
 
@@ -521,29 +543,21 @@ def conjugated_strong_measure_exact(rho, conjugator: Network) -> list:
     Rotates into the frame where the parity is a single-site observable
     (adjoint direction of the conjugator), collapses the last site onto each
     eigenspace of sigma_x, and rotates back; the outcome law equals direct
-    strong measurement of the parity observable.  A PureState stays a vector:
-    the inverse gates act on its amplitudes, the collapse on one axis, and
-    ``apply_pure`` rotates each post state back.
+    strong measurement of the parity observable.  A PureState stays a vector
+    throughout (``network.apply``), and its post states are PureStates.
     """
     if (rho.n, rho.l) != (conjugator.n, conjugator.l) or rho.l != 2:
         raise ValueError("state and conjugator must be qubit systems of one shape")
     if not conjugator.is_unitary():
         raise ValueError("conjugator network must be unitary")
     n = rho.n
-    pure = isinstance(rho, PureState)
-    inverse = invert_unitary(conjugator)
-    if pure:
-        rotated = _apply_unitary_block(inverse, rho.amplitudes)
-    else:
-        rotated = apply(inverse, rho).matrix
+    rotated = _state_array(apply(invert_unitary(conjugator), rho))
     outcomes = []
     for value in (-1.0, 1.0):
         m = _collapse_site(rotated, (np.eye(2) + value * SIGMA_X) / 2, n, n, 2)
         p = _weight(m)
         if p > PROBABILITY_FLOOR:
-            post = _post_state(m, p, n, 2)
-            post = apply_pure(conjugator, post) if pure else apply(conjugator, post)
-            outcomes.append(MeasurementOutcome(value, p, post))
+            outcomes.append(MeasurementOutcome(value, p, apply(conjugator, _post_state(m, p, n, 2))))
     return outcomes
 
 

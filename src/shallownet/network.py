@@ -3,20 +3,22 @@
 A channel is stored uniformly as a Kraus family on one or two sites; unitaries
 are the single-Kraus special case.  A step is a set of channels with pairwise
 disjoint supports; a network is an ordered sequence of steps.  Networks act on
-density matrices in step order (Schrodinger picture) and on observables in
+states in step order (Schrodinger picture) and on observables in
 reverse step order (Heisenberg picture, ``apply_dual``), so that
 ``tr(apply_dual(net, a) @ rho) == tr(a @ apply(net, rho).matrix)``.
 
-On a density matrix every channel, whatever its Kraus count, acts as one
-superoperator ``S = sum_K K (x) conj(K)`` (``S^dag`` for ``apply_dual``),
-contracted by ``linalg.act_local`` into the row and column axes of the sites
-it touches.  ``S`` is built on first use and cached on the channel, so
-parsing, ``apply_pure`` and the projection sweep never build it.  A unitary
-network on a state vector applies its gates directly (``apply_pure``).
+``apply`` takes either kind of state.  A PureState under a unitary network
+stays a vector: the gates act on its amplitudes directly.  Every other input
+runs as a density matrix, on which every channel, whatever its Kraus count,
+acts as one superoperator ``S = sum_K K (x) conj(K)`` (``S^dag`` for
+``apply_dual``), contracted by ``linalg.act_local`` into the row and column
+axes of the sites it touches.  ``S`` is built on first use and cached on the
+channel, so parsing, a pure state under a unitary network and the projection
+sweep never build it.
 
 Depth is reported two ways: the raw step count (``net.depth``) and
-``canonical_depth``, which first contracts steps made purely of single-site
-channels into an adjacent step.
+``canonical_depth``, the depth once every step made purely of single-site
+channels is merged into an adjacent step.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
-from .states import DensityState, PureState
+from .states import DensityState, PureState, to_density
 
 KRAUS_ATOL = 1e-10
 
@@ -215,20 +217,6 @@ def _conjugate_by_channels(m: np.ndarray, superoperators, n: int, l: int) -> np.
     return t.reshape(m.shape)
 
 
-def apply(net: Network, rho: DensityState) -> DensityState:
-    """Run the network on a density state, channels in step order.
-
-    The output of a trace-preserving Kraus map on a state is a state, so it
-    skips the public constructor's eigensolve (``DensityState._trusted``).
-    """
-    if (rho.n, rho.l) != (net.n, net.l):
-        raise ValueError(f"state is ({rho.n}, {rho.l}) but network is ({net.n}, {net.l})")
-    superoperators = ((ch.support, ch.superoperator())
-                      for step in net.steps for ch in step.channels)
-    out = _conjugate_by_channels(rho.matrix, superoperators, net.n, net.l)
-    return DensityState._trusted(net.n, net.l, out)
-
-
 def _apply_unitary_block(net: Network, x: np.ndarray) -> np.ndarray:
     """``U x`` for a unitary network U and a length-d vector or d x r block x.
 
@@ -242,13 +230,22 @@ def _apply_unitary_block(net: Network, x: np.ndarray) -> np.ndarray:
     return t.reshape(x.shape)
 
 
-def apply_pure(net: Network, psi: PureState) -> PureState:
-    """Fast path for unitary networks acting on a pure state."""
-    if not net.is_unitary():
-        raise ValueError("pure-state application requires a unitary network")
-    if (psi.n, psi.l) != (net.n, net.l):
-        raise ValueError(f"state is ({psi.n}, {psi.l}) but network is ({net.n}, {net.l})")
-    return PureState(net.n, net.l, _apply_unitary_block(net, psi.amplitudes))
+def apply(net: Network, state: PureState | DensityState) -> PureState | DensityState:
+    """Run the network on a state, channels in step order.
+
+    A PureState under a unitary network comes back a PureState, its gates
+    applied to the amplitudes.  Any other input comes back a DensityState:
+    the output of a trace-preserving Kraus map on a state is a state, so it
+    skips the public constructor's eigensolve (``DensityState._trusted``).
+    """
+    if (state.n, state.l) != (net.n, net.l):
+        raise ValueError(f"state is ({state.n}, {state.l}) but network is ({net.n}, {net.l})")
+    if isinstance(state, PureState) and net.is_unitary():
+        return PureState(net.n, net.l, _apply_unitary_block(net, state.amplitudes))
+    superoperators = ((ch.support, ch.superoperator())
+                      for step in net.steps for ch in step.channels)
+    out = _conjugate_by_channels(to_density(state).matrix, superoperators, net.n, net.l)
+    return DensityState._trusted(net.n, net.l, out)
 
 
 def apply_dual(net: Network, a: np.ndarray) -> np.ndarray:
@@ -349,59 +346,19 @@ def random_shallow(
 
 
 # ---------------------------------------------------------------------------
-# Depth contraction
+# Canonical depth
 # ---------------------------------------------------------------------------
 
-def _embed_in_support(op: np.ndarray, site: int, support: tuple, l: int) -> np.ndarray:
-    """Lift a single-site operator to the channel's (1- or 2-site) support."""
-    if len(support) == 1:
-        return op
-    if support[0] == site:
-        return np.kron(op, np.eye(l, dtype=complex))
-    return np.kron(np.eye(l, dtype=complex), op)
-
-
-def _merge_local_into_step(step: Step, local: LocalChannel, l: int, before: bool) -> Step:
-    """Compose a single-site channel into a step (before or after its channels)."""
-    site = local.support[0]
-    channels = list(step.channels)
-    for idx, ch in enumerate(channels):
-        if site in ch.support:
-            combined = []
-            for lk in local.kraus:
-                lifted = _embed_in_support(lk, site, ch.support, l)
-                for kk in ch.kraus:
-                    combined.append(kk @ lifted if before else lifted @ kk)
-            channels[idx] = LocalChannel(ch.support, tuple(combined))
-            return Step(tuple(channels))
-    channels.append(local)
-    return Step(tuple(channels))
-
-
-def contract_local_steps(net: Network) -> Network:
-    """Merge steps made purely of single-site channels into an adjacent step.
-
-    Local-only steps merge backward into the preceding contracted step when
-    one exists, otherwise forward into the next anchored step; the returned
-    network acts identically on every state.
-    """
-    merged: list[Step] = []
-    for step in net.steps:
-        if step.has_bilocal() or not step.channels:
-            if merged and not merged[-1].has_bilocal() and len(merged) == 1:
-                # local-only prologue folds forward into the first anchored step
-                pending = merged.pop()
-                for ch in pending.channels:
-                    step = _merge_local_into_step(step, ch, net.l, before=True)
-            merged.append(step)
-        elif merged:
-            for ch in step.channels:
-                merged[-1] = _merge_local_into_step(merged[-1], ch, net.l, before=False)
-        else:
-            merged.append(step)
-    return Network(net.n, net.l, tuple(merged))
-
-
 def canonical_depth(net: Network) -> int:
-    """Depth after contracting local-only steps; never exceeds the raw count."""
-    return contract_local_steps(net).depth
+    """Depth once every local-only step is merged into an adjacent step.
+
+    A local-only step merges into the step before it, and a local-only
+    prologue into the first step with a two-site channel, so the steps up to
+    and including that one count as 1 (0 for no steps).  Each later step
+    counts 1 if it has a two-site channel or no channel at all (an empty step
+    is kept), and 0 if it is local-only.  Never exceeds the raw count.
+    """
+    if not net.steps:
+        return 0
+    first = next((i for i, step in enumerate(net.steps) if step.has_bilocal()), len(net.steps))
+    return 1 + sum(1 for step in net.steps[first + 1:] if step.has_bilocal() or not step.channels)

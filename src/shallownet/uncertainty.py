@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .network import Network, apply, apply_pure
+from .network import Network, apply
 from .states import PureState, SeparableInput, density_matrix, mix
 
 SPREAD_ATOL = 1e-10
@@ -620,7 +620,7 @@ def check_uncertainty_bound(
     searched on the vector too.
     """
     psi = separable.pure_product() if separable.l == 2 and net.is_unitary() else None
-    state = apply_pure(net, psi) if psi is not None else apply(net, mix(separable))
+    state = apply(net, psi if psi is not None else mix(separable))
     bound = uncertainty_bound(net.n, net.depth)
     e_upper = None
     if state.l == 2:

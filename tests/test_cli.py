@@ -9,12 +9,12 @@ import pytest
 from shallownet import linalg, measurement, states, uncertainty
 from shallownet.cli import main
 from shallownet.dsl import serialize
-from shallownet.linalg import SIGMA_X, operator_norm, tensor
+from shallownet.linalg import SIGMA_X, operator_norm
 from shallownet.measurement import (
-    build_parity_conjugator, conjugated_strong_measure, random_product_projection,
-    spectral_decompose, strong_measure, weak_measure_product,
+    build_parity_conjugator, conjugated_strong_measure, parity_measure_exact,
+    random_product_projection, sample_outcome, spectral_decompose, weak_measure_product,
 )
-from shallownet.network import apply_pure, cat_ladder, invert_unitary, random_shallow
+from shallownet.network import apply, cat_ladder, invert_unitary, random_shallow
 from shallownet.sweeps import trial_seed
 from shallownet.uncertainty import (
     AveragingObservable, SiteObservable, commutator_expectation, random_site_observable,
@@ -290,7 +290,7 @@ class TestVerify:
         # a rank-one P = |psi><psi| propagates to |phi><phi| with phi = U^dag psi,
         # and ||[abar, |phi><phi|]|| = sqrt(Var_phi(abar))
         psi = functools.reduce(np.kron, [np.linalg.eigh(f)[1][:, -1] for f in projection.factors])
-        phi = apply_pure(invert_unitary(net), states.PureState(16, 2, psi)).amplitudes
+        phi = apply(invert_unitary(net), states.PureState(16, 2, psi)).amplitudes
         t = phi.reshape((2,) * 16)
         a_phi = sum(np.moveaxis(np.tensordot(c, t, axes=(1, i)), 0, i) for i in range(16))
         a_phi = a_phi.reshape(-1) / 16
@@ -492,7 +492,7 @@ class TestMeasure:
         for shot, r in enumerate(records):
             rng = np.random.default_rng(trial_seed(7, shot))
             if mode == "strong":
-                o = strong_measure(rho, spectral_decompose(tensor(*([SIGMA_X] * 3))), rng)
+                o = sample_outcome(parity_measure_exact(rho, SIGMA_X), rng)
             elif mode == "weak":
                 o = weak_measure_product(rho, [SIGMA_X] * 3, rng)
             else:
@@ -501,6 +501,19 @@ class TestMeasure:
             assert (r["value"], r["probability"], r["seed"]) == (value, o.probability, trial_seed(7, shot))
             assert (posts / f"outcome_{shot}.json").read_text() == states.state_to_json(o.post_state)
         assert len({r["value"] for r in records}) == 2
+
+    def test_strong_on_density_forms_no_parity_operator(self, capsys, monkeypatch, tmp_path):
+        rho = states.random_density_state(3, 2, np.random.default_rng(13), rank=2)
+        state_file = tmp_path / "rho.json"
+        state_file.write_text(states.state_to_json(rho))
+        calls = []
+        real_tensor, real_decompose = linalg.tensor, measurement.spectral_decompose
+        monkeypatch.setattr(linalg, "tensor", lambda *a: calls.append("tensor") or real_tensor(*a))
+        monkeypatch.setattr(measurement, "spectral_decompose",
+                            lambda a: calls.append("spectral_decompose") or real_decompose(a))
+        assert main(["measure", str(state_file), "--mode", "strong", "--exact"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert calls == []
 
     def test_weak_shots_decompose_once(self, capsys, monkeypatch, ladder8):
         calls = []

@@ -13,7 +13,7 @@ from shallownet.network import (
     LocalChannel,
     Network,
     Step,
-    apply_pure,
+    apply,
     cat_ladder,
     depolarizing_kraus,
     random_shallow,
@@ -51,7 +51,7 @@ class TestParse:
     def test_ladder_document_prepares_cat(self):
         text = serialize(cat_ladder(3, include_prologue=True))
         net = parse(text)
-        out = apply_pure(net, product_state([KET0] * 8))
+        out = apply(net, product_state([KET0] * 8))
         assert fidelity(out, cat_state(8)) == pytest.approx(1.0, abs=1e-10)
 
     def test_comments_and_blanks_ignored(self):
@@ -113,6 +113,10 @@ PARSE_ERRORS = [
     ("qubits 1\nstep\n  channel unitary 1 1\n", "syntax", 3, 3),
     ("qubits 1\nstep\n  channel kraus 0 1\n", "syntax", 3, 17),
     ("qubits 1\nstep\n  channel kraus one 1\n", "syntax", 3, 17),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0,0\n    0,0 2,0\n", "syntax", 3, 8),
+    ("qubits 1\nstep\n  channel kraus 1 1\n    1,0 0,0\n    0,0 0,0\n", "syntax", 3, 3),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    nan,0 0,0\n    0,0 1,0\n", "syntax", 4, 5),
+    ("qubits 1\nstep\n  gate UNITARY 1\n    1,0 1e400,0\n    0,0 1,0\n", "syntax", 4, 9),
 ]
 
 
@@ -124,6 +128,10 @@ class TestDiagnostics:
         assert e.category == "overlap"
         assert e.line == 4
         assert "line 3" in e.message
+
+    def test_refused_kraus_family_keeps_its_reason(self):
+        with pytest.raises(CircuitParseError, match="not trace preserving"):
+            parse("qubits 1\nstep\n  gate UNITARY 1\n    1,0 0,0\n    0,0 2,0\n")
 
     def test_unknown_gate(self):
         with pytest.raises(CircuitParseError) as err:

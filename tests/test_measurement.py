@@ -263,12 +263,22 @@ class TestPureMatchesDensity:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_strong_exact(self, n, seed):
-        psi = states.random_pure_state(n, 2, np.random.default_rng(seed))
+        """The parity's closed form against the dense decomposition, on a
+        vector and on a density matrix of random rank."""
+        rng = np.random.default_rng(seed)
+        psi = states.random_pure_state(n, 2, rng)
+        rho = states.random_density_state(n, 2, rng, rank=int(rng.integers(1, 2**n + 1)))
         for pauli in (SIGMA_X, SIGMA_Z):
             dec = spectral_decompose(tensor(*([pauli] * n)))
             dense = strong_measure_exact(psi.density(), dec)
             assert_same_outcomes(strong_measure_exact(psi, dec), dense)
             assert_same_outcomes(parity_measure_exact(psi, pauli), dense)
+            closed, reference = parity_measure_exact(rho, pauli), strong_measure_exact(rho, dec)
+            assert [o.value for o in closed] == [o.value for o in reference]
+            for o, d in zip(closed, reference):
+                assert isinstance(o.post_state, DensityState)
+                assert abs(o.probability - d.probability) <= 1e-12
+                assert np.allclose(o.post_state.matrix, d.post_state.matrix, atol=1e-10, rtol=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
@@ -281,6 +291,11 @@ class TestPureMatchesDensity:
     def test_parity_rejects_non_involution(self):
         with pytest.raises(ValueError, match="square to the identity"):
             parity_measure_exact(zeros(2), SIGMA_X / 2)
+
+    @pytest.mark.parametrize("state", [zeros(2), zeros(2).density()], ids=["pure", "density"])
+    def test_parity_rejects_site_operator_of_another_size(self, state):
+        with pytest.raises(ValueError, match="is 3x3, expected 2x2"):
+            parity_measure_exact(state, np.eye(3))
 
 
 def reference_decompositions(site_observables):

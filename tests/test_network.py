@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,22 +13,85 @@ from shallownet.network import (
     Step,
     apply,
     apply_dual,
-    apply_pure,
     canonical_depth,
     cat_ladder,
-    contract_local_steps,
     depolarizing_kraus,
     identity_network,
     invert_unitary,
     random_shallow,
 )
-from shallownet.states import DensityState, cat_state, fidelity, product_state, to_density
+from shallownet.states import (
+    DensityState, PureState, cat_state, fidelity, product_state, to_density,
+)
 
 KET0 = np.array([1, 0], dtype=complex)
 
 
 def zeros_density(n):
     return to_density(product_state([KET0] * n))
+
+
+def _embed_in_support(op: np.ndarray, site: int, support: tuple, l: int) -> np.ndarray:
+    """Lift a single-site operator to the channel's (1- or 2-site) support."""
+    if len(support) == 1:
+        return op
+    if support[0] == site:
+        return np.kron(op, np.eye(l, dtype=complex))
+    return np.kron(np.eye(l, dtype=complex), op)
+
+
+def _merge_local_into_step(step: Step, local: LocalChannel, l: int, before: bool) -> Step:
+    """Compose a single-site channel into a step (before or after its channels)."""
+    site = local.support[0]
+    channels = list(step.channels)
+    for idx, ch in enumerate(channels):
+        if site in ch.support:
+            combined = []
+            for lk in local.kraus:
+                lifted = _embed_in_support(lk, site, ch.support, l)
+                for kk in ch.kraus:
+                    combined.append(kk @ lifted if before else lifted @ kk)
+            channels[idx] = LocalChannel(ch.support, tuple(combined))
+            return Step(tuple(channels))
+    channels.append(local)
+    return Step(tuple(channels))
+
+
+def contract_local_steps(net: Network) -> Network:
+    """Reference for ``canonical_depth``: the network with every local-only
+    step merged into an adjacent step, which acts identically on every state.
+
+    Local-only steps merge backward into the preceding contracted step when
+    one exists, otherwise forward into the next anchored step (one with a
+    two-site channel, or an empty one).
+    """
+    merged: list[Step] = []
+    for step in net.steps:
+        if step.has_bilocal() or not step.channels:
+            if merged and not merged[-1].has_bilocal() and len(merged) == 1:
+                # local-only prologue folds forward into the first anchored step
+                pending = merged.pop()
+                for ch in pending.channels:
+                    step = _merge_local_into_step(step, ch, net.l, before=True)
+            merged.append(step)
+        elif merged:
+            for ch in step.channels:
+                merged[-1] = _merge_local_into_step(merged[-1], ch, net.l, before=False)
+        else:
+            merged.append(step)
+    return Network(net.n, net.l, tuple(merged))
+
+
+def superoperator_walk(net: Network, m: np.ndarray) -> np.ndarray:
+    """Reference for the density path of ``apply``: each channel's cached
+    superoperator contracted into its row and column axes, in step order."""
+    n, l = net.n, net.l
+    t = m.reshape((l,) * (2 * n))
+    for step in net.steps:
+        for ch in step.channels:
+            rows = [s - 1 for s in ch.support]
+            t = linalg.act_local(ch.superoperator(), rows + [n + r for r in rows], t, l)
+    return t.reshape(m.shape)
 
 
 class TestChannelValidation:
@@ -98,7 +163,7 @@ class TestApply:
         for seed in range(3):
             net = random_shallow(4, 2, seed)
             psi = states.random_pure_state(4, 2, rng)
-            via_pure = apply_pure(net, psi).density()
+            via_pure = apply(net, psi).density()
             via_density = apply(net, psi.density())
             assert np.allclose(via_pure.matrix, via_density.matrix, atol=1e-10)
 
@@ -117,6 +182,33 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply(identity_network(3), zeros_density(2))
+
+    @pytest.mark.parametrize("kind, noise, out_type", [
+        ("pure", 0.0, PureState),
+        ("pure", 0.2, DensityState),
+        ("density", 0.0, DensityState),
+        ("density", 0.2, DensityState),
+    ])
+    def test_either_kind_of_state(self, kind, noise, out_type):
+        """A vector stays a vector only under a unitary network; everything
+        else runs as a density matrix, bit for bit the superoperator walk."""
+        rng = np.random.default_rng(24)
+        net = random_shallow(4, 2, 7, noise=noise)
+        psi = states.random_pure_state(4, 2, rng)
+        state = psi if kind == "pure" else states.random_density_state(4, 2, rng, rank=2)
+        out = apply(net, state)
+        assert type(out) is out_type
+        if out_type is PureState:
+            assert all(ch._superoperator is None for step in net.steps for ch in step.channels)
+            expect = psi.amplitudes
+            for step in net.steps:
+                for ch in step.channels:
+                    expect = embed(ch.kraus[0], ch.support, 4, 2) @ expect
+            assert np.allclose(out.amplitudes, expect, atol=1e-12)
+        else:
+            assert np.array_equal(out.matrix, superoperator_walk(net, to_density(state).matrix))
+            if kind == "pure":
+                assert np.array_equal(out.matrix, apply(net, psi.density()).matrix)
 
 
 class TestSuperoperator:
@@ -142,7 +234,7 @@ class TestSuperoperator:
 
     def test_pure_path_builds_no_superoperator(self):
         net = random_shallow(4, 2, 6)
-        apply_pure(net, product_state([KET0] * 4))
+        apply(net, product_state([KET0] * 4))
         assert all(ch._superoperator is None for step in net.steps for ch in step.channels)
 
     @pytest.mark.parametrize("l", [2, 3])
@@ -223,7 +315,7 @@ class TestCatLadder:
     def test_k3_from_plus_state(self):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         psi = product_state([plus] + [KET0] * 7)
-        out = apply_pure(cat_ladder(3), psi)
+        out = apply(cat_ladder(3), psi)
         assert fidelity(out, cat_state(8)) == pytest.approx(1.0, abs=1e-10)
 
     def test_depth_equals_k(self):
@@ -300,6 +392,21 @@ class TestCanonicalDepth:
         assert contracted.depth == 1
         rho = states.random_density_state(3, 2, rng)
         assert np.allclose(apply(net, rho).matrix, apply(contracted, rho).matrix, atol=1e-9)
+
+    def test_count_matches_the_contraction(self):
+        """Every sequence of up to five steps, each empty, local-only,
+        two-site, or two-site plus local."""
+        two_site = LocalChannel((1, 2), (CNOT,))
+        kinds = (
+            Step(()),
+            Step((LocalChannel((1,), (HADAMARD,)), LocalChannel((3,), (SIGMA_X,)))),
+            Step((two_site,)),
+            Step((two_site, LocalChannel((3,), (HADAMARD,)))),
+        )
+        for length in range(6):
+            for steps in itertools.product(kinds, repeat=length):
+                net = Network(3, 2, steps)
+                assert canonical_depth(net) == contract_local_steps(net).depth
 
     def test_never_exceeds_raw_depth(self):
         for seed in range(5):

@@ -5,7 +5,7 @@ from shallownet import sweeps, uncertainty
 from shallownet.measurement import weak_measure_product
 from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from shallownet.network import apply, random_shallow
-from shallownet.states import cat_state, mix, random_product_input
+from shallownet.states import PureState, cat_state, mix, random_product_input
 from shallownet.sweeps import (
     RunConfig,
     projection_bound_sweep,
@@ -129,7 +129,7 @@ class TestPureRowsOnTheStateVector:
         mixed = []
 
         def apply_noisy_only(net, rho):
-            assert not net.is_unitary(), "a unitary row ran the density path"
+            assert isinstance(rho, PureState) or not net.is_unitary(), "a unitary row ran the density path"
             return apply(net, rho)
 
         def counted_mix(sep):

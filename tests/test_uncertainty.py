@@ -3,7 +3,7 @@ import pytest
 
 from shallownet import states, uncertainty
 from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, operator_norm, reduce_to_site
-from shallownet.network import apply_pure, cat_ladder, identity_network, random_shallow
+from shallownet.network import apply, cat_ladder, identity_network, random_shallow
 from shallownet.states import (
     SeparableInput,
     cat_state,
@@ -366,7 +366,7 @@ class TestEstimate:
     def test_pure_state_certified_without_ascent(self):
         rng = np.random.default_rng(31)
         net = random_shallow(8, 2, rng)
-        rho = to_density(apply_pure(net, product_state([KET0] * 8)))
+        rho = to_density(apply(net, product_state([KET0] * 8)))
         report = estimate_e(rho)
         value, _ = max_variance_qubit(rho)
         assert report.e_lower == pytest.approx(2 * np.sqrt(value), abs=1e-10)
