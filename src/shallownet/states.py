@@ -4,10 +4,12 @@ All state objects are immutable after construction (arrays are copied and made
 read-only).  States that arrive from outside the program are validated in
 full at the boundary: the public ``PureState``, ``DensityState`` and
 ``SeparableInput`` constructors and ``state_from_dict`` check every defining
-invariant, positivity included (one eigensolve of the density matrix).
+invariant, positivity included (one Cholesky factorization of the density
+matrix shifted by the eigenvalue floor; an eigensolve runs only when that
+fails, to decide within rounding and to name the minimum eigenvalue).
 
 States the program derives from states it already holds skip only that
-eigensolve: ``mix`` (a convex sum of products of validated single-site
+check: ``mix`` (a convex sum of products of validated single-site
 factors), ``network.apply`` (a trace-preserving Kraus map, validated when its
 channels were built, applied to a state), ``measurement``'s post states
 (``q rho q^dag / p`` for a projector q) and ``PureState.density``
@@ -86,9 +88,31 @@ def _hermitian_unit_trace(matrix, dim: int) -> np.ndarray:
     return m
 
 
+def _require_positive(m: np.ndarray) -> None:
+    """Refuse a Hermitian m whose smallest eigenvalue is below EIGENVALUE_FLOOR.
+
+    A Cholesky factorization of ``m - EIGENVALUE_FLOOR * I`` succeeds exactly
+    when every eigenvalue is above the floor, up to rounding; only when it
+    fails does ``eigvalsh`` run, to decide and to name the minimum eigenvalue.
+    """
+    shifted = m.copy()
+    shifted.reshape(-1)[:: m.shape[0] + 1] -= EIGENVALUE_FLOOR
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(m)[0])
+        if lo < EIGENVALUE_FLOOR:
+            raise ValueError(f"minimum eigenvalue {lo} below {EIGENVALUE_FLOOR}") from None
+
+
 @dataclass(frozen=True)
 class DensityState:
-    """Density matrix of n sites: Hermitian, unit trace, positive up to tolerance."""
+    """Density matrix of n sites: Hermitian, unit trace, positive up to tolerance.
+
+    Positivity is one Cholesky factorization of the matrix shifted by the
+    eigenvalue floor; ``eigvalsh`` runs only on a refusal, to decide within
+    rounding and name the minimum eigenvalue in the message.
+    """
 
     n: int
     l: int
@@ -96,15 +120,13 @@ class DensityState:
 
     def __post_init__(self):
         m = _hermitian_unit_trace(self.matrix, self.l**self.n)
-        lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"minimum eigenvalue {lo} below {EIGENVALUE_FLOOR}")
+        _require_positive(m)
         _frozen_array(self, "matrix", m)
 
     @classmethod
     def _trusted(cls, n: int, l: int, matrix) -> "DensityState":
         """A state the program derived from states it holds, positive by
-        construction: every check of the public constructor but the eigensolve."""
+        construction: every check of the public constructor but positivity."""
         state = object.__new__(cls)
         object.__setattr__(state, "n", n)
         object.__setattr__(state, "l", l)
@@ -264,9 +286,9 @@ def state_to_dict(state) -> dict:
     raise TypeError(f"cannot serialize {type(state).__name__}")
 
 
-def state_from_dict(doc: dict):
-    """Inverse of ``state_to_dict``; a missing or malformed field raises a
-    ValueError that names it."""
+def _state_fields(doc: dict) -> tuple:
+    """``(n, l, kind, values)`` read from a state document; a missing or
+    malformed field raises a ValueError that names it."""
     if not isinstance(doc, dict):
         raise ValueError(f"state JSON must be an object, got {type(doc).__name__}")
     for key in ("n", "l", "kind", "data"):
@@ -288,6 +310,10 @@ def state_from_dict(doc: dict):
         values = None
     if not isinstance(data, list) or values is None or not np.isfinite(values).all():
         raise ValueError("state field 'data' must be a list of finite [re, im] number pairs")
+    return n, l, kind, values
+
+
+def _state_from_fields(n: int, l: int, kind, values: np.ndarray):
     if kind == "pure":
         return PureState(n, l, values)
     if kind == "density":
@@ -298,12 +324,26 @@ def state_from_dict(doc: dict):
     raise ValueError(f"state field 'kind' must be 'pure' or 'density', got {kind!r}")
 
 
+def state_from_dict(doc: dict):
+    """Inverse of ``state_to_dict``; a missing or malformed field raises a
+    ValueError that names it.  The document is left as it is."""
+    return _state_from_fields(*_state_fields(doc))
+
+
 def state_to_json(state) -> str:
     return json.dumps(state_to_dict(state))
 
 
 def state_from_json(text: str):
-    return state_from_dict(json.loads(text))
+    """``state_from_dict`` on the parsed text.  Its references to the text and
+    to the parsed document are dropped once each has been read, so a caller
+    that passes the text on (as the CLI does) holds neither while the state
+    is validated."""
+    doc = json.loads(text)
+    del text
+    fields = _state_fields(doc)
+    del doc
+    return _state_from_fields(*fields)
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,24 @@ ended, so no shortcut of the search enters it.  The search is one ascent for
 every local dimension, run on coordinates of the commutator over the state's
 range.  With ``rho = F F^dag`` (r columns: ``psi`` itself for a state vector,
 one ``eigh`` of a density matrix) and ``lambda_a`` a trace-orthonormal basis
-of the traceless Hermitian site matrices, one reduced QR of ``[F, abar(lambda_1) F, ...]`` gives k x k
-Hermitian ``h_a``, ``k = min(l^2 r, d)``, with ``||[abar(c), rho]||_1 =
-||sum_a c_a h_a||_1``; each candidate costs one k x k spectrum and each
-subgradient is ``tr(w h_a)``.  Qubits start from a deterministic Fibonacci
-grid of Bloch directions (plus the two top-variance ones), visited in
-decreasing order of the variance ceiling ``2 sqrt(v^T M v)`` (M the 3x3 spin
-covariance, read from the same images ``abar(lambda_a) F``) until no
+of the traceless Hermitian site matrices, one reduced QR of
+``[F, abar(lambda_1) F, ...]`` gives k x k Hermitian ``h_a``,
+``k = min(l^2 r, d)``, with ``||[abar(c), rho]||_1 = ||sum_a c_a h_a||_1``.
+The bottom-right (k - r)-square block of each ``h_a`` is zero, so an ascent
+candidate costs a QR of a (k - r) x r matrix and one spectrum of size 2r
+(``_RangeBlocks``; when ``k <= 2r``, full rank included, the block is the
+k x k sum itself, with no QR), and its subgradient ``tr(w h_a)`` comes from
+the same block.  Qubits start from a deterministic Fibonacci grid of Bloch
+directions (plus the two top-variance ones), visited in decreasing order of
+the variance ceiling ``2 sqrt(v^T M v)`` (M the 3x3 spin covariance, read
+from the same images ``abar(lambda_a) F``), each on its k x k sum, until no
 remaining ceiling can beat the best value found.  A best value at
 ``2 sqrt(lambda_max(M))`` is certified optimal and ends the search with
 ``iterations = 0``, which is what happens on pure states; otherwise the
 ascent refines the best candidate.  Larger local dimensions ascend from
-seeded random starts.  Low ranks gain the most; on full-rank qubit states
-the QR of a d x 4d block can make the search slower than a dense one.
+seeded random starts, all in lockstep: one batched spectrum per pass for
+every start's candidate.  Low ranks gain the most; on full-rank qubit
+states the QR of a d x 4d block can make the search slower than a dense one.
 
 ``check_uncertainty_bound`` tests the depth bound on a network's output and
 runs the search only when it must.  For qubits the variance ceiling
@@ -320,6 +325,79 @@ def _range_factor(m: np.ndarray) -> np.ndarray:
     return vec[:, keep] * np.sqrt(eig[keep])
 
 
+class _RangeBlocks:
+    """``f(c) = ||sum_a c_a h_a||_1`` (``c_a = tr(lambda_a c)``) and its
+    subgradient on a block of size at most 2r, for a stack of l x l site
+    matrices c at once.
+
+    ``R_F`` is zero below its top r rows, so the bottom-right (k - r)-square
+    block of every ``h_a`` is zero, and ``sum_a c_a h_a = [[H, B^dag], [B, 0]]``
+    with ``H = sum_a c_a h_a[:r, :r]`` and ``B = sum_a c_a h_a[r:, :r]``,
+    (k - r) x r.  When ``k - r > r``, a QR ``B = Q L`` turns it into the 2r-square
+    ``[[H, L^dag], [L, 0]]``, which has the same nonzero spectrum; otherwise
+    (full rank included, where B is empty) the block is ``sum_a c_a h_a``
+    itself.  Sums over a are products with flattened stacks.
+    """
+
+    def __init__(self, basis: np.ndarray, h: np.ndarray, r: int):
+        m, k = h.shape[0], h.shape[1]
+        self.l, self.k, self.r = basis.shape[1], k, r
+        self.basis = basis.reshape(m, -1)
+        self.to_coords = basis.transpose(0, 2, 1).reshape(m, -1).T.copy()
+        self.square = k - r <= r
+        if self.square:
+            self.h = h.reshape(m, -1)
+        else:
+            self.top = h[:, :r, :r].reshape(m, -1)
+            self.low = h[:, r:, :r].reshape(m, -1)
+
+    def coordinates(self, c: np.ndarray) -> np.ndarray:
+        """``c_a = Re tr(lambda_a c)`` for a stack of site matrices."""
+        return np.real(c.reshape(len(c), -1) @ self.to_coords)
+
+    def build(self, c: np.ndarray):
+        """``(blocks, q)`` for a stack of site matrices; q holds the Q factor
+        of each ``B`` (an empty stack for a square block)."""
+        coords = self.coordinates(c)
+        s, k, r = len(c), self.k, self.r
+        if self.square:
+            blocks = (coords @ self.h).reshape(s, k, k)
+            q = np.empty((s, 0))
+        else:
+            q, low = np.linalg.qr((coords @ self.low).reshape(s, k - r, r))
+            blocks = np.zeros((s, 2 * r, 2 * r), dtype=complex)
+            blocks[:, :r, :r] = (coords @ self.top).reshape(s, r, r)
+            blocks[:, r:, :r] = low
+            blocks[:, :r, r:] = low.conj().transpose(0, 2, 1)
+        return blocks, q
+
+    def evaluate(self, c: np.ndarray):
+        """``(values, blocks, q)``: f at each site matrix, with ``build``'s blocks."""
+        blocks, q = self.build(c)
+        return np.sum(np.abs(np.linalg.eigvalsh(blocks)), axis=-1), blocks, q
+
+    def gradient(self, blocks: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Subgradient ``sum_a tr(W h_a) lambda_a`` as a stack of site matrices,
+        W the sign factor of each block.
+
+        On a 2r block, ``W = P w P^dag`` with ``P = diag(I, Q)``, so
+        ``tr(W h_a) = tr(w_11 H_a) + 2 Re tr(w_12 Q^dag h_a[r:, :r])``, and the
+        second term is ``2 Re sum(conj(X) h_a[r:, :r])`` with ``X = Q w_21``.
+        """
+        eig, vec = np.linalg.eigh(blocks)
+        w = (vec * _subgradient_sign(eig)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
+        s = len(w)
+        # tr(w h) = Re sum_ij conj(w_ij) h_ij for Hermitian w and h
+        if self.square:
+            grad = np.real(w.reshape(s, -1).conj() @ self.h.T)
+        else:
+            r = self.r
+            x = q @ w[:, r:, :r]
+            grad = np.real(w[:, :r, :r].reshape(s, -1).conj() @ self.top.T
+                           + 2.0 * x.reshape(s, -1).conj() @ self.low.T)
+        return (grad @ self.basis).reshape(s, self.l, self.l)
+
+
 # ---------------------------------------------------------------------------
 # Qubit variance
 # ---------------------------------------------------------------------------
@@ -432,49 +510,61 @@ def _subgradient_sign(eig: np.ndarray) -> np.ndarray:
 
 
 def _normalize_spread(c: np.ndarray) -> np.ndarray:
+    """c (one l x l matrix or a stack) divided by its spectral spread, where that is positive."""
     eig = np.linalg.eigvalsh(c)
-    spread = float(eig[-1] - eig[0])
-    if spread <= 0:
-        return c
-    return c / spread
+    spread = eig[..., -1] - eig[..., 0]
+    return c / np.where(spread > 0, spread, 1.0)[..., None, None]
 
 
-def _on_range(c: np.ndarray, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``sum_a c_a h_a`` with ``c_a = tr(lambda_a c)``: i[abar(c), rho] in range coordinates."""
-    return np.tensordot(np.real(np.einsum("aij,ji->a", basis, c)), h, axes=1)
+def _ascend(c, value, blocks: _RangeBlocks, max_iter, tol):
+    """Subgradient ascent of ``f(c) = ||sum_a c_a h_a||_1`` from a stack of l x l
+    site matrices, every start in lockstep; ``value`` holds f at each start,
+    or is None to take it from the blocks.
 
-
-def _coordinate_gradient(c: np.ndarray, basis: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Subgradient coordinates ``tr(w h_a)`` of ``f(c) = ||sum_a c_a h_a||_1``,
-    w the sign factor of ``sum_a c_a h_a``."""
-    eig, vec = np.linalg.eigh(_on_range(c, basis, h))
-    w = (vec * _subgradient_sign(eig)) @ vec.conj().T
-    return np.real(np.einsum("ij,aji->a", w, h))
-
-
-def _ascend(c, value, h, basis, max_iter, tol):
-    """Subgradient ascent of ``f(c) = ||sum_a c_a h_a||_1`` from the l x l site
-    matrix c, where f is ``value``.  Each step backtracks from length 1 and
-    rescales the candidate to spread 1; returns (c, f(c), iterations).
+    Each start backtracks from step 1, halving while the step is above 1e-7,
+    and rescales every candidate to spread 1; a candidate is taken when it
+    beats the current value by 1e-15.  A start stops after ``max_iter``
+    iterations, when its subgradient's operator norm is below ``tol``, or when
+    no step improves.  Each pass takes the subgradient of every start that
+    needs one in one batched ``eigh``, then evaluates the next candidate of
+    every start still searching in one batched call.  Returns (c, values,
+    iterations), one entry per start.
     """
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        grad = np.tensordot(_coordinate_gradient(c, basis, h), basis, axes=1)
-        if linalg.operator_norm(grad) < tol:
+    c = np.array(c, dtype=complex)
+    if value is None:
+        value, block, q = blocks.evaluate(c)
+    else:
+        value = np.array(value, dtype=float)
+        block, q = blocks.build(c)
+    count = len(c)
+    iterations = np.zeros(count, dtype=int)
+    step = np.ones(count)
+    grad = np.zeros_like(c)
+    running = np.full(count, max_iter > 0)
+    needs_grad = running.copy()
+    while True:
+        g = np.flatnonzero(needs_grad)
+        if g.size:
+            iterations[g] += 1
+            gr = blocks.gradient(block[g], q[g])
+            grad[g] = gr
+            running[g] = np.max(np.abs(np.linalg.eigvalsh(gr)), axis=-1) >= tol
+            step[g] = 1.0
+            needs_grad[g] = False
+        s = np.flatnonzero(running)
+        if not s.size:
             break
-        step = 1.0
-        improved = False
-        while step > 1e-7:
-            cand = _normalize_spread(c + step * grad)
-            val_c = _hermitian_trace_norm(_on_range(cand, basis, h))
-            if val_c > value + 1e-15:
-                c, value = cand, val_c
-                improved = True
-                break
-            step /= 2
-        if not improved:
-            break
+        cand = _normalize_spread(c[s] + step[s, None, None] * grad[s])
+        vals, cand_block, cand_q = blocks.evaluate(cand)
+        better = vals > value[s] + 1e-15
+        up, down = s[better], s[~better]
+        if up.size:
+            c[up], value[up] = cand[better], vals[better]
+            block[up], q[up] = cand_block[better], cand_q[better]
+            needs_grad[up] = running[up] = iterations[up] < max_iter
+        if down.size:
+            step[down] /= 2
+            running[down] = step[down] > 1e-7
     return c, value, iterations
 
 
@@ -486,7 +576,11 @@ def _search(f, n, l, restarts, grid_size, max_iter, tol, seed):
     A Bloch direction v has coordinates ``c = v / sqrt 2`` and the ceiling
     ``2 sqrt(c^T C c)`` (``C = 2 M``), so no grid candidate skipped once the
     ceilings fall below the best value could have beaten it, and a best value
-    at ``2 sqrt(lambda_max(M))`` is the global maximum: no ascent runs.
+    at ``2 sqrt(lambda_max(M))`` is the global maximum: no ascent runs.  The
+    grid reads each candidate on the k x k stack; the ascent runs every start
+    at once on ``_RangeBlocks``, a spectrum of size at most 2r per candidate.
+    The reported start is the first with the largest value, and
+    ``iterations`` is the sum over starts.
     """
     basis = _traceless_basis(l)
     gs = _basis_images(f, n, basis)
@@ -508,18 +602,13 @@ def _search(f, n, l, restarts, grid_size, max_iter, tol, seed):
                 best, start = value, np.tensordot(grid[idx], basis, axes=1)
             if best >= ceiling_max - CEILING_SLACK:
                 return SiteObservable(start), 0, var_value
-        starts = [(start, best)]
+        starts, values = [start], [best]
     else:
         rng = np.random.default_rng(seed)
-        starts = [random_site_observable(l, rng).matrix for _ in range(restarts)]
-        starts = [(c, _hermitian_trace_norm(_on_range(c, basis, h))) for c in starts]
-    best, best_c, iterations = -1.0, None, 0
-    for c, value in starts:
-        c, value, steps = _ascend(c, value, h, basis, max_iter, tol)
-        iterations += steps
-        if value > best:
-            best, best_c = value, c
-    return SiteObservable(best_c), iterations, var_value
+        starts, values = [random_site_observable(l, rng).matrix for _ in range(restarts)], None
+    blocks = _RangeBlocks(basis, h, f.shape[1])
+    c, values, iterations = _ascend(starts, values, blocks, max_iter, tol)
+    return SiteObservable(c[int(np.argmax(values))]), int(iterations.sum()), var_value
 
 
 def estimate_e(

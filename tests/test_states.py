@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,7 @@ class TestMix:
 
 
 class TestTrustedProducers:
-    """States the program derives skip only the positivity eigensolve; the
+    """States the program derives skip only the positivity check; the
     public constructor re-validates every one of them in full."""
 
     def test_outputs_pass_the_public_constructor(self):
@@ -211,6 +213,51 @@ class TestValidation:
         rho = DensityState(2, 2, spectrum_matrix(-1e-11))
         assert np.linalg.eigvalsh(rho.matrix)[0] == pytest.approx(-1e-11, rel=1e-3)
 
+    def test_accepting_path_runs_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        cases = [(n, l, states.random_density_state(n, l, rng, rank=rank).matrix)
+                 for n, l, rank in ((1, 2, None), (3, 2, 2), (2, 3, None), (4, 3, 3))]
+        cases.append((2, 2, spectrum_matrix(0.0)))  # singular, on the positive side
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an accepted state ran an eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for n, l, m in cases:
+            assert np.array_equal(DensityState(n, l, m).matrix, m)
+
+    def test_floor_decided_as_eigvalsh_decides(self):
+        # The smallest eigenvalue is planted on either side of the floor, on
+        # random states of random rank; Cholesky must agree with eigvalsh.
+        rng = np.random.default_rng(58)
+        floor = states.EIGENVALUE_FLOOR
+        for n, l in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3)):
+            dim = l**n
+            for factor in (0.5, 0.9, 1.1, 2.0):
+                rank = int(rng.integers(1, dim))
+                g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                vec = np.linalg.qr(g)[0]
+                eig = np.zeros(dim)
+                eig[0] = factor * floor
+                eig[1:rank + 1] = rng.dirichlet(np.ones(rank)) * (1.0 - eig[0])
+                m = (vec * eig) @ vec.conj().T
+                m = (m + m.conj().T) / 2
+                lo = np.linalg.eigvalsh(m)[0]
+                if lo >= floor:
+                    assert np.array_equal(DensityState(n, l, m).matrix, m)
+                else:
+                    with pytest.raises(ValueError, match=f"minimum eigenvalue {lo} below {floor}"):
+                        DensityState(n, l, m)
+                assert (lo >= floor) == (factor < 1)
+
+    def test_separable_input_refuses_a_non_positive_factor(self):
+        factor = np.array([[1.05, 0.2j], [-0.2j, -0.05]])
+        lo = np.linalg.eigvalsh(factor)[0]
+        with pytest.raises(ValueError) as err:
+            SeparableInput(((1.0, (np.outer(KET0, KET0.conj()), factor)),))
+        assert str(err.value) == f"minimum eigenvalue {lo} below {states.EIGENVALUE_FLOOR}"
+
     def test_states_are_immutable(self):
         psi = cat_state(2)
         with pytest.raises(ValueError):
@@ -252,6 +299,15 @@ class TestJson:
     def test_bool_data_rejected(self, kind, data):
         with pytest.raises(ValueError, match="field 'data'"):
             states.state_from_dict({"n": 1, "l": 2, "kind": kind, "data": data})
+
+    def test_state_from_dict_leaves_the_document(self):
+        rho = states.random_density_state(2, 2, np.random.default_rng(10))
+        doc = states.state_to_dict(rho)
+        before = copy.deepcopy(doc)
+        back = states.state_from_dict(doc)
+        assert doc == before
+        assert np.array_equal(back.matrix, rho.matrix)
+        assert np.array_equal(state_from_json(state_to_json(rho)).matrix, rho.matrix)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,87 @@ def zeros_state(n):
 
 def maximally_mixed(n):
     return states.DensityState(n, 2, np.eye(2**n, dtype=complex) / 2**n)
+
+
+def bench_qudit_state(seed):
+    """The benchmark's rank-3 5-qutrit state, from ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return states.DensityState(workloads.QUDIT_N, workloads.QUDIT_L, workloads.qudit_state(seed))
+
+
+# The search as it ran one start at a time on the k x k stack: the reference
+# for the lockstep ascent on 2r blocks.
+
+def _on_range(c, basis, h):
+    """``sum_a c_a h_a`` with ``c_a = tr(lambda_a c)``: i[abar(c), rho] in range coordinates."""
+    return np.tensordot(np.real(np.einsum("aij,ji->a", basis, c)), h, axes=1)
+
+
+def _coordinate_gradient(c, basis, h):
+    """Subgradient coordinates ``tr(w h_a)`` of ``f(c) = ||sum_a c_a h_a||_1``,
+    w the sign factor of ``sum_a c_a h_a``."""
+    eig, vec = np.linalg.eigh(_on_range(c, basis, h))
+    w = (vec * uncertainty._subgradient_sign(eig)) @ vec.conj().T
+    return np.real(np.einsum("ij,aji->a", w, h))
+
+
+def _sequential_ascend(c, value, h, basis, max_iter, tol):
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        grad = np.tensordot(_coordinate_gradient(c, basis, h), basis, axes=1)
+        if operator_norm(grad) < tol:
+            break
+        step = 1.0
+        improved = False
+        while step > 1e-7:
+            cand = uncertainty._normalize_spread(c + step * grad)
+            val_c = uncertainty._hermitian_trace_norm(_on_range(cand, basis, h))
+            if val_c > value + 1e-15:
+                c, value = cand, val_c
+                improved = True
+                break
+            step /= 2
+        if not improved:
+            break
+    return c, value, iterations
+
+
+def _sequential_search(rho, restarts=8, max_iter=20, tol=1e-9, seed=0):
+    """(site, iterations): each start ascended in turn; qubits start from the
+    grid's best point, which ``estimate_e`` with ``max_iter = 0`` reports, and
+    ascend only when it is below the variance ceiling."""
+    f = uncertainty._range_factor(rho.matrix)
+    basis = uncertainty._traceless_basis(rho.l)
+    h, _ = uncertainty._range_coordinates(f, uncertainty._basis_images(f, rho.n, basis))
+    if rho.l == 2:
+        starts = [estimate_e(rho, max_iter=0).maximizer.matrix]
+        ceiling = 2 * np.sqrt(max_variance_qubit(rho)[0])
+        if commutator_trace_norm(SiteObservable(starts[0]), rho) >= ceiling - uncertainty.CEILING_SLACK:
+            return SiteObservable(starts[0]), 0  # certified: no ascent
+    else:
+        rng = np.random.default_rng(seed)
+        starts = [random_site_observable(rho.l, rng).matrix for _ in range(restarts)]
+    best, best_c, iterations = -1.0, None, 0
+    for c in starts:
+        value = uncertainty._hermitian_trace_norm(_on_range(c, basis, h))
+        c, value, steps = _sequential_ascend(c, value, h, basis, max_iter, tol)
+        iterations += steps
+        if value > best:
+            best, best_c = value, c
+    return SiteObservable(best_c), iterations
+
+
+def _block_value_and_gradient(site, basis, stack, r):
+    """Value and subgradient coordinates of ``_RangeBlocks`` at one site
+    matrix, with the block's size."""
+    blocks = uncertainty._RangeBlocks(basis, stack, r)
+    values, block, q = blocks.evaluate(site.matrix[None])
+    grad = blocks.coordinates(blocks.gradient(block, q))[0]
+    return values[0], grad, block.shape[-1]
 
 
 class TestSiteObservable:
@@ -158,9 +242,15 @@ class TestRangeFactor:
         dense_grad = sum(reduce_to_site(lifted, i, n, l) for i in range(1, n + 1))
         basis = uncertainty._traceless_basis(l)
         stack, _ = uncertainty._range_coordinates(f, uncertainty._basis_images(f, n, basis))
-        grad = uncertainty._coordinate_gradient(site.matrix, basis, stack)
+        grad = _coordinate_gradient(site.matrix, basis, stack)
         dense_coords = np.real(np.einsum("aij,ji->a", basis, dense_grad)) / n
         assert np.max(np.abs(grad - dense_coords)) <= 1e-12
+        # the (r + t)-square block, t = min(k - r, r): t = r on the low ranks,
+        # 0 < t < r at rank 5 on 2 qutrits
+        value, block_grad, size = _block_value_and_gradient(site, basis, stack, rank)
+        assert size == rank + min(stack.shape[1] - rank, rank)
+        assert value == pytest.approx(np.sum(np.abs(eig)), abs=1e-12)
+        assert np.max(np.abs(block_grad - dense_coords)) <= 1e-12
 
     @pytest.mark.parametrize("n, l", [(3, 2), (2, 3)])
     @pytest.mark.parametrize("rank", [1, 2, None])
@@ -187,12 +277,20 @@ class TestRangeFactor:
             assert value == pytest.approx(np.sum(np.abs(eig)), abs=1e-12)
             w = (vec * uncertainty._subgradient_sign(eig)) @ vec.conj().T
             dense_grad = sum(reduce_to_site(1j * (m @ w - w @ m), i, n, l) for i in range(1, n + 1))
-            grad = uncertainty._coordinate_gradient(site.matrix, basis, stack)
+            grad = _coordinate_gradient(site.matrix, basis, stack)
             expect = np.real(np.einsum("aij,ji->a", basis, dense_grad)) / n
             assert np.max(np.abs(grad - expect)) <= 1e-12
             assert coords @ cov @ coords == pytest.approx(variance(a, rho), abs=1e-12)
+            # t = r at ranks 1 and 2, t = 0 (the stack itself) at full rank
+            r = f.shape[1]
+            block_value, block_grad, size = _block_value_and_gradient(site, basis, stack, r)
+            assert size == min(2 * r, k)
+            assert block_value == pytest.approx(np.sum(np.abs(eig)), abs=1e-12)
+            assert np.max(np.abs(block_grad - expect)) <= 1e-12
 
     def test_one_qr_per_call(self, monkeypatch):
+        # One QR with d rows per call; the ascent's QRs reduce the (k - r) x r
+        # part of a candidate, so none of them has more than k - r rows.
         shapes = []
         qr = np.linalg.qr
 
@@ -202,11 +300,15 @@ class TestRangeFactor:
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         rng = np.random.default_rng(49)
-        for rho in (random_density_state(3, 2, rng), random_density_state(2, 3, rng, rank=2)):
+        for rho in (random_density_state(3, 2, rng), random_density_state(2, 3, rng, rank=2),
+                    random_density_state(3, 2, rng, rank=2)):
             shapes.clear()
             report = estimate_e(rho, restarts=3)
             assert report.iterations > 0
-            assert len(shapes) == 1
+            r = np.linalg.matrix_rank(rho.matrix)
+            k = min(rho.l**2 * r, rho.dim)
+            assert [s[-2] for s in shapes].count(rho.dim) == 1
+            assert all(s[-2] <= k - r for s in shapes[1:])
 
     def test_cutoff_drops_small_negative_eigenvalue(self):
         rng = np.random.default_rng(47)
@@ -432,6 +534,38 @@ class TestEstimate:
         a = estimate_e(rho).e_lower
         b = estimate_e(permuted).e_lower
         assert a == pytest.approx(b, abs=1e-6)
+
+
+class TestLockstepAscent:
+    """The lockstep ascent on 2r blocks takes the steps the sequential ascent
+    on the k x k stack takes, start by start."""
+
+    @pytest.mark.parametrize("n, l, rank", [
+        (4, 2, 1), (4, 2, 3), (4, 2, None), (3, 3, 1), (3, 3, 3), (2, 3, None), (5, 3, "bench"),
+    ])
+    def test_matches_the_sequential_search(self, n, l, rank):
+        if rank == "bench":
+            rho = bench_qudit_state(1)
+        else:
+            rho = random_density_state(n, l, np.random.default_rng(80 + 10 * l + (rank or 0)), rank=rank)
+        report = estimate_e(rho)
+        site, iterations = _sequential_search(rho)
+        assert report.iterations == iterations
+        if rank != 1 or l > 2:  # a rank-1 qubit state is certified by the grid
+            assert iterations > 0
+        assert np.max(np.abs(report.maximizer.matrix - site.matrix)) <= 1e-12
+        assert report.e_lower == pytest.approx(commutator_trace_norm(site, rho), abs=1e-12)
+
+    @pytest.mark.parametrize("n, l, rank", [(3, 2, 2), (2, 3, None), (3, 3, 2)])
+    def test_no_iterations_at_max_iter_zero(self, n, l, rank):
+        rho = random_density_state(n, l, np.random.default_rng(90 + l), rank=rank)
+        report = estimate_e(rho, max_iter=0, restarts=3)
+        assert report.iterations == 0
+        if l > 2:
+            rng = np.random.default_rng(0)
+            starts = [random_site_observable(l, rng) for _ in range(3)]
+            values = [commutator_trace_norm(c, rho) for c in starts]
+            assert np.array_equal(report.maximizer.matrix, starts[int(np.argmax(values))].matrix)
 
 
 class TestHypersurface:
