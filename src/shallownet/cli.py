@@ -56,6 +56,12 @@ def _int_list(text: str) -> tuple:
     return tuple(int(t) for t in text.split(",") if t)
 
 
+def _int_list_text(text: str) -> str:
+    """A comma separated int list, checked by ``_int_list`` and kept as written."""
+    _int_list(text)
+    return text
+
+
 def _report_format(text: str) -> str:
     """``--format`` of the commands that write a report: json or csv.  The
     flag's own choices guard the command line; this guards a config file."""
@@ -75,7 +81,8 @@ def _resolve(args, spec: dict) -> dict:
     """Merge CLI flags (None means unset) over config-file values over defaults.
 
     A config key no field reads, or a config value its field's coercion
-    refuses, raises a ValueError naming the key and the config file.
+    refuses, raises a ValueError naming the key and the config file; a flag
+    value the coercion refuses raises one naming the flag.
     """
     cfg = _read_config(args.config) if args.config else {}
     for key in cfg:
@@ -86,7 +93,10 @@ def _resolve(args, spec: dict) -> dict:
     for dest, (coerce, default) in spec.items():
         val = getattr(args, dest)
         if val is not None:
-            out[dest] = coerce(val)
+            try:
+                out[dest] = coerce(val)
+            except ValueError as err:
+                raise ValueError(f"--{dest.replace('_', '-')}: {err}") from None
         elif dest in cfg:
             try:
                 out[dest] = coerce(cfg[dest])
@@ -134,6 +144,8 @@ def _build_input(spec: str, n: int, l: int):
         factors = []
         for tok in tokens:
             tok = tok.strip()
+            if tok in ("+", "-") and l != 2:
+                raise ValueError(f"product ket {tok!r} requires local dimension 2, got {l}")
             if tok == "+":
                 factors.append(np.array([1, 1], dtype=complex) / np.sqrt(2))
             elif tok == "-":
@@ -328,7 +340,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lightcone(args) -> int:
-    opts = _resolve(args, {"format": (_report_format, "json"), "sites": (str, "")})
+    opts = _resolve(args, {"format": (_report_format, "json"), "sites": (_int_list_text, "")})
     net = _load_circuit(args.circuit)
     report_obj = lightcone.lightcone_report(net)
     report = {

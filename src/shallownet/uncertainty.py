@@ -17,15 +17,16 @@ one ``eigh`` of a density matrix) and ``lambda_a`` a trace-orthonormal basis
 of the traceless Hermitian site matrices, one reduced QR of
 ``[F, abar(lambda_1) F, ...]`` gives k x k Hermitian ``h_a``,
 ``k = min(l^2 r, d)``, with ``||[abar(c), rho]||_1 = ||sum_a c_a h_a||_1``.
-The bottom-right (k - r)-square block of each ``h_a`` is zero, so an ascent
-candidate costs a QR of a (k - r) x r matrix and one spectrum of size 2r
-(``_RangeBlocks``; when ``k <= 2r``, full rank included, the block is the
-k x k sum itself, with no QR), and its subgradient ``tr(w h_a)`` comes from
-the same block.  Qubits start from a deterministic Fibonacci grid of Bloch
-directions (plus the two top-variance ones), visited in decreasing order of
-the variance ceiling ``2 sqrt(v^T M v)`` (M the 3x3 spin covariance, read
-from the same images ``abar(lambda_a) F``), each on its k x k sum, until no
-remaining ceiling can beat the best value found.  A best value at
+The bottom-right (k - r)-square block of each ``h_a`` is zero, so every
+value the search reads, grid point or ascent candidate, costs a QR of a
+(k - r) x r matrix and one spectrum of size ``r + min(k - r, r)``, at most 2r
+(``_RangeBlocks``, the one evaluator: k x k when ``k <= 2r``, and an r x r
+spectrum with an empty QR at full rank), and its subgradient ``tr(w h_a)``
+comes from the same block.  Qubits start from a deterministic Fibonacci grid
+of Bloch directions (plus the two top-variance ones), visited in decreasing
+order of the variance ceiling ``2 sqrt(v^T M v)`` (M the 3x3 spin covariance,
+read from the same images ``abar(lambda_a) F``), each read on its block, until
+no remaining ceiling can beat the best value found.  A best value at
 ``2 sqrt(lambda_max(M))`` is certified optimal and ends the search with
 ``iterations = 0``, which is what happens on pure states; otherwise the
 ascent refines the best candidate.  Larger local dimensions ascend from
@@ -328,73 +329,58 @@ def _range_factor(m: np.ndarray) -> np.ndarray:
 class _RangeBlocks:
     """``f(c) = ||sum_a c_a h_a||_1`` (``c_a = tr(lambda_a c)``) and its
     subgradient on a block of size at most 2r, for a stack of l x l site
-    matrices c at once.
+    matrices c at once: the one evaluator of the search.
 
     ``R_F`` is zero below its top r rows, so the bottom-right (k - r)-square
     block of every ``h_a`` is zero, and ``sum_a c_a h_a = [[H, B^dag], [B, 0]]``
     with ``H = sum_a c_a h_a[:r, :r]`` and ``B = sum_a c_a h_a[r:, :r]``,
-    (k - r) x r.  When ``k - r > r``, a QR ``B = Q L`` turns it into the 2r-square
-    ``[[H, L^dag], [L, 0]]``, which has the same nonzero spectrum; otherwise
-    (full rank included, where B is empty) the block is ``sum_a c_a h_a``
-    itself.  Sums over a are products with flattened stacks.
+    (k - r) x r.  A reduced QR ``B = Q L`` turns it into ``[[H, L^dag], [L, 0]]``,
+    which has the same nonzero spectrum and size ``r + min(k - r, r)``: k when
+    ``k <= 2r``, and H itself at full rank, where B is empty.  Sums over a
+    are products with flattened stacks.
     """
 
     def __init__(self, basis: np.ndarray, h: np.ndarray, r: int):
-        m, k = h.shape[0], h.shape[1]
-        self.l, self.k, self.r = basis.shape[1], k, r
+        m = h.shape[0]
+        self.l, self.r = basis.shape[1], r
         self.basis = basis.reshape(m, -1)
         self.to_coords = basis.transpose(0, 2, 1).reshape(m, -1).T.copy()
-        self.square = k - r <= r
-        if self.square:
-            self.h = h.reshape(m, -1)
-        else:
-            self.top = h[:, :r, :r].reshape(m, -1)
-            self.low = h[:, r:, :r].reshape(m, -1)
+        self.top = h[:, :r, :r].reshape(m, -1)
+        self.low = h[:, r:, :r].reshape(m, -1)
 
     def coordinates(self, c: np.ndarray) -> np.ndarray:
         """``c_a = Re tr(lambda_a c)`` for a stack of site matrices."""
         return np.real(c.reshape(len(c), -1) @ self.to_coords)
 
-    def build(self, c: np.ndarray):
-        """``(blocks, q)`` for a stack of site matrices; q holds the Q factor
-        of each ``B`` (an empty stack for a square block)."""
-        coords = self.coordinates(c)
-        s, k, r = len(c), self.k, self.r
-        if self.square:
-            blocks = (coords @ self.h).reshape(s, k, k)
-            q = np.empty((s, 0))
-        else:
-            q, low = np.linalg.qr((coords @ self.low).reshape(s, k - r, r))
-            blocks = np.zeros((s, 2 * r, 2 * r), dtype=complex)
-            blocks[:, :r, :r] = (coords @ self.top).reshape(s, r, r)
-            blocks[:, r:, :r] = low
-            blocks[:, :r, r:] = low.conj().transpose(0, 2, 1)
-        return blocks, q
-
     def evaluate(self, c: np.ndarray):
-        """``(values, blocks, q)``: f at each site matrix, with ``build``'s blocks."""
-        blocks, q = self.build(c)
+        """``(values, blocks, q)``: f at each site matrix, its block, and the
+        Q factor of its ``B``."""
+        coords = self.coordinates(c)
+        s, r = len(c), self.r
+        q, low = np.linalg.qr((coords @ self.low).reshape(s, -1, r))
+        size = r + low.shape[1]
+        blocks = np.zeros((s, size, size), dtype=complex)
+        blocks[:, :r, :r] = (coords @ self.top).reshape(s, r, r)
+        blocks[:, r:, :r] = low
+        blocks[:, :r, r:] = low.conj().transpose(0, 2, 1)
         return np.sum(np.abs(np.linalg.eigvalsh(blocks)), axis=-1), blocks, q
 
     def gradient(self, blocks: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Subgradient ``sum_a tr(W h_a) lambda_a`` as a stack of site matrices,
         W the sign factor of each block.
 
-        On a 2r block, ``W = P w P^dag`` with ``P = diag(I, Q)``, so
+        ``W = P w P^dag`` with ``P = diag(I, Q)``, so
         ``tr(W h_a) = tr(w_11 H_a) + 2 Re tr(w_12 Q^dag h_a[r:, :r])``, and the
-        second term is ``2 Re sum(conj(X) h_a[r:, :r])`` with ``X = Q w_21``.
+        second term is ``2 Re sum(conj(X) h_a[r:, :r])`` with ``X = Q w_21``
+        (an empty sum at full rank).
         """
         eig, vec = np.linalg.eigh(blocks)
         w = (vec * _subgradient_sign(eig)[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-        s = len(w)
+        s, r = len(w), self.r
+        x = q @ w[:, r:, :r]
         # tr(w h) = Re sum_ij conj(w_ij) h_ij for Hermitian w and h
-        if self.square:
-            grad = np.real(w.reshape(s, -1).conj() @ self.h.T)
-        else:
-            r = self.r
-            x = q @ w[:, r:, :r]
-            grad = np.real(w[:, :r, :r].reshape(s, -1).conj() @ self.top.T
-                           + 2.0 * x.reshape(s, -1).conj() @ self.low.T)
+        grad = np.real(w[:, :r, :r].reshape(s, -1).conj() @ self.top.T
+                       + 2.0 * x.reshape(s, -1).conj() @ self.low.T)
         return (grad @ self.basis).reshape(s, self.l, self.l)
 
 
@@ -516,26 +502,21 @@ def _normalize_spread(c: np.ndarray) -> np.ndarray:
     return c / np.where(spread > 0, spread, 1.0)[..., None, None]
 
 
-def _ascend(c, value, blocks: _RangeBlocks, max_iter, tol):
+def _ascend(c, blocks: _RangeBlocks, max_iter, tol):
     """Subgradient ascent of ``f(c) = ||sum_a c_a h_a||_1`` from a stack of l x l
-    site matrices, every start in lockstep; ``value`` holds f at each start,
-    or is None to take it from the blocks.
+    site matrices, every start in lockstep.
 
     Each start backtracks from step 1, halving while the step is above 1e-7,
     and rescales every candidate to spread 1; a candidate is taken when it
     beats the current value by 1e-15.  A start stops after ``max_iter``
     iterations, when its subgradient's operator norm is below ``tol``, or when
-    no step improves.  Each pass takes the subgradient of every start that
-    needs one in one batched ``eigh``, then evaluates the next candidate of
-    every start still searching in one batched call.  Returns (c, values,
-    iterations), one entry per start.
+    no step improves.  The starts are evaluated first; then each pass takes
+    the subgradient of every start that needs one in one batched ``eigh``,
+    and evaluates the next candidate of every start still searching in one
+    batched call.  Returns (c, values, iterations), one entry per start.
     """
     c = np.array(c, dtype=complex)
-    if value is None:
-        value, block, q = blocks.evaluate(c)
-    else:
-        value = np.array(value, dtype=float)
-        block, q = blocks.build(c)
+    value, block, q = blocks.evaluate(c)
     count = len(c)
     iterations = np.zeros(count, dtype=int)
     step = np.ones(count)
@@ -577,14 +558,15 @@ def _search(f, n, l, restarts, grid_size, max_iter, tol, seed):
     ``2 sqrt(c^T C c)`` (``C = 2 M``), so no grid candidate skipped once the
     ceilings fall below the best value could have beaten it, and a best value
     at ``2 sqrt(lambda_max(M))`` is the global maximum: no ascent runs.  The
-    grid reads each candidate on the k x k stack; the ascent runs every start
-    at once on ``_RangeBlocks``, a spectrum of size at most 2r per candidate.
-    The reported start is the first with the largest value, and
-    ``iterations`` is the sum over starts.
+    grid and the ascent read f from the same ``_RangeBlocks``, a spectrum of
+    size at most 2r per candidate; the ascent runs every start at once.  The
+    reported start is the first with the largest value, and ``iterations`` is
+    the sum over starts.
     """
     basis = _traceless_basis(l)
     gs = _basis_images(f, n, basis)
     h, _ = _range_coordinates(f, gs)
+    blocks = _RangeBlocks(basis, h, f.shape[1])
     var_value = None
     if l == 2:
         cov = _coordinate_covariance(f, gs)
@@ -597,17 +579,17 @@ def _search(f, n, l, restarts, grid_size, max_iter, tol, seed):
         for idx in np.argsort(-ceilings, kind="stable"):
             if ceilings[idx] < best - CEILING_SLACK:
                 break
-            value = _hermitian_trace_norm(np.tensordot(grid[idx], h, axes=1))
+            c = np.tensordot(grid[idx], basis, axes=1)
+            value = blocks.evaluate(c[None])[0][0]
             if value > best:
-                best, start = value, np.tensordot(grid[idx], basis, axes=1)
+                best, start = value, c
             if best >= ceiling_max - CEILING_SLACK:
                 return SiteObservable(start), 0, var_value
-        starts, values = [start], [best]
+        starts = [start]
     else:
         rng = np.random.default_rng(seed)
-        starts, values = [random_site_observable(l, rng).matrix for _ in range(restarts)], None
-    blocks = _RangeBlocks(basis, h, f.shape[1])
-    c, values, iterations = _ascend(starts, values, blocks, max_iter, tol)
+        starts = [random_site_observable(l, rng).matrix for _ in range(restarts)]
+    c, values, iterations = _ascend(starts, blocks, max_iter, tol)
     return SiteObservable(c[int(np.argmax(values))]), int(iterations.sum()), var_value
 
 

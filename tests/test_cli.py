@@ -677,6 +677,13 @@ class TestInputSpecs:
         path.write_text(circuit)
         assert_usage_error(capsys, ["simulate", str(path), "--input", spec], text)
 
+    @pytest.mark.parametrize("spec, tok", [("product:+,+", "+"), ("product:+,0", "+"), ("product:0,-", "-")])
+    def test_sign_kets_need_qubits(self, tmp_path, capsys, spec, tok):
+        path = tmp_path / "c.qnet"
+        path.write_text("qubits 2\nldim 3\n")
+        assert_usage_error(capsys, ["simulate", str(path), "--input", spec],
+                           f"product ket '{tok}' requires local dimension 2, got 3")
+
     def test_mixture_factor_of_two_sites_exits_2(self, tmp_path, capsys, empty_circuit):
         pair = states.state_to_dict(states.basis_state(2, 2))
         mix_file = write_json(tmp_path / "mix.json", {"terms": [{"weight": 1.0, "factors": [pair]}]})
@@ -800,3 +807,20 @@ class TestCsvAndConfig:
         assert (report["config"]["n_values"], report["config"]["k_values"]) == ([4, 6], [1])
         code, report = run_json(capsys, ["verify", "2", "--config", str(cfg), "--n-list", "8"])
         assert report["config"]["n_values"] == [8]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "1", "--n-list", "4,x"], "--n-list"),
+        (["verify", "2", "--k-list", "a"], "--k-list"),
+        (["lightcone", "--sites", "a"], "--sites"),
+    ])
+    def test_int_list_flag_named(self, capsys, ladder8, argv, flag):
+        if argv[0] == "lightcone":
+            argv = [argv[0], ladder8, *argv[1:]]
+        bad = argv[-1].split(",")[-1]
+        assert_usage_error(capsys, argv, f"error: {flag}: invalid literal for int() with base 10: '{bad}'")
+
+    def test_sites_config_field_named(self, tmp_path, capsys, ladder8):
+        cfg = tmp_path / "lc.cfg"
+        cfg.write_text("sites=1,a\n")
+        assert_usage_error(capsys, ["lightcone", ladder8, "--config", str(cfg)],
+                           f"config file {cfg}: field 'sites': invalid literal for int()")

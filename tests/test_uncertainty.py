@@ -542,6 +542,7 @@ class TestLockstepAscent:
 
     @pytest.mark.parametrize("n, l, rank", [
         (4, 2, 1), (4, 2, 3), (4, 2, None), (3, 3, 1), (3, 3, 3), (2, 3, None), (5, 3, "bench"),
+        (3, 2, 5), (3, 2, 7), (4, 2, 9), (2, 3, 6), (2, 3, 8), (3, 3, 15),
     ])
     def test_matches_the_sequential_search(self, n, l, rank):
         if rank == "bench":
@@ -555,6 +556,50 @@ class TestLockstepAscent:
             assert iterations > 0
         assert np.max(np.abs(report.maximizer.matrix - site.matrix)) <= 1e-12
         assert report.e_lower == pytest.approx(commutator_trace_norm(site, rho), abs=1e-12)
+
+    class LineBlocks:
+        """Stands in for ``_RangeBlocks`` on the site matrices
+        ``[[a, a u], [a u, -a]]``, a > 0: the subgradient is ``a sigma_x``, so
+        a step t moves u to u + t, and f is a chosen function of u.  Records
+        the u of every site matrix it evaluates."""
+
+        def __init__(self, f):
+            self.f, self.tried = f, []
+
+        def evaluate(self, c):
+            u = c[:, 0, 1].real / c[:, 0, 0].real
+            self.tried.extend(u)
+            return np.array([self.f(x) for x in u]), c.copy(), np.empty((len(c), 0))
+
+        def gradient(self, block, q):
+            return block[:, 0, 0].real[:, None, None] * SIGMA_X
+
+    def ascend_line(self, f, max_iter):
+        blocks = self.LineBlocks(f)
+        c, values, iterations = uncertainty._ascend(Z_HALF.matrix[None], blocks, max_iter, 0.0)
+        return c[0, 0, 1].real / c[0, 0, 0].real, values[0], iterations[0], blocks.tried
+
+    def test_each_iteration_backtracks_from_step_one(self):
+        # Step 1 overshoots into the dip and step 1/2 is taken; the next
+        # iteration starts again from step 1, which clears the dip.
+        u, value, iterations, tried = self.ascend_line(lambda u: -1.0 if 0.7 <= u <= 1.2 else u, 2)
+        assert tried == pytest.approx([0.0, 1.0, 0.5, 1.5], abs=1e-12)
+        assert u == pytest.approx(1.5, abs=1e-12)
+        assert value == tried[-1] and iterations == 2
+
+    @pytest.mark.parametrize("slope, taken", [(0.0, False), (5e-16, False), (2e-15, True)])
+    def test_a_candidate_must_gain_the_margin(self, slope, taken):
+        # f = slope * u, so step 1 gains the slope; a gain of at most 1e-15
+        # is refused, the step halves away and the start stays where it was.
+        u, value, iterations, tried = self.ascend_line(lambda u: slope * u, 1)
+        assert iterations == 1
+        assert tried[1] == pytest.approx(1.0, abs=1e-12)
+        if taken:
+            assert u == pytest.approx(1.0, abs=1e-12)
+            assert value == slope * tried[1] and len(tried) == 2
+        else:
+            assert u == 0.0 and value == 0.0
+            assert len(tried) == 1 + 24  # steps 1, 1/2, ..., 2^-23: every step above 1e-7
 
     @pytest.mark.parametrize("n, l, rank", [(3, 2, 2), (2, 3, None), (3, 3, 2)])
     def test_no_iterations_at_max_iter_zero(self, n, l, rank):
