@@ -4,8 +4,9 @@ Both procedures reproduce the same outcome statistics, but their effect on
 the state is opposite: measuring every qubit separately (weak) shatters a
 cat state into a product state, while projecting onto the two parity
 eigenspaces (strong) turns a product state INTO a cat state.  The strong
-version is implemented with a CNOT ladder that rotates the 2^(n-1)-fold
-degenerate parity onto a single qubit.
+version is implemented with the doubling CNOT ladder that prepares the cat:
+it rotates the 2^(n-1)-fold degenerate parity onto qubit 1 at depth
+ceil(log2 n).
 """
 
 import numpy as np
@@ -45,7 +46,8 @@ print(f"  post-measurement ensemble e = {estimate_e(ensemble).e_lower:.4f}"
       f"  (separable ceiling {np.sqrt(2/n):.4f})")
 
 # --- the conjugation trick gives the strong version with a shallow circuit --
-print(f"\nstrong measurement via the CNOT conjugation ladder (depth {n-1}):")
-for o in conjugated_strong_measure_exact(cat, build_parity_conjugator(n)):
+print(f"\nstrong measurement via the doubling CNOT ladder "
+      f"(depth {build_parity_conjugator(n).depth}):")
+for o in conjugated_strong_measure_exact(cat):
     e = estimate_e(o.post_state).e_lower
     print(f"  outcome {o.value:+.0f} with p = {o.probability:.3f}; cat keeps e = {e:.4f}")

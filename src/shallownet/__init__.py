@@ -70,16 +70,13 @@ from .measurement import (
     build_parity_conjugator,
     check_projection_commutator_bound,
     commutator_opnorm,
-    conjugated_strong_measure,
     conjugated_strong_measure_exact,
     is_product_projection,
     parity_measure_exact,
     projection_bound,
     sample_outcome,
     spectral_decompose,
-    strong_measure,
     strong_measure_exact,
-    weak_measure_product,
     weak_measure_product_exact,
     weak_measure_shots,
 )

@@ -413,9 +413,7 @@ def _measure_records(args, opts) -> list:
             return measurement.weak_measure_product_exact(state, sites, post_states=posts)
         if mode == "strong":
             return measurement.parity_measure_exact(state, pauli)
-        return measurement.conjugated_strong_measure_exact(
-            state, measurement.build_parity_conjugator(n)
-        )
+        return measurement.conjugated_strong_measure_exact(state)
 
     def record(o, seed) -> dict:
         value = o.combined_value if isinstance(o, measurement.WeakOutcome) else o.value

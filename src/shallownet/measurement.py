@@ -8,10 +8,11 @@ highly degenerate) spectral eigenspaces, which can leave macroscopic
 superpositions intact -- the two procedures pull the post-state in opposite
 directions, and the tests pin that contrast down quantitatively.
 
-Every procedure has an exact twin listing each outcome with its probability
-and post state.  The strong and conjugated samplers draw from their twin
-(``sample_outcome``).  ``strong_measure_exact`` takes any spectral
-decomposition; the parity ``p^{(x)n}`` has a closed form
+Every procedure lists each outcome with its probability and post state;
+``sample_outcome`` draws one record from such a list, and
+``weak_measure_shots`` draws many weak records at once.
+``strong_measure_exact`` takes any spectral decomposition; the parity
+``p^{(x)n}`` has a closed form
 (``parity_measure_exact``) from n site flips of a vector, or 3n of a density
 matrix, with no d x d operator.  The weak procedures share one outcome tree:
 the state is rotated into every site observable's eigenbasis once (one local
@@ -19,8 +20,11 @@ action per site on a vector, two on a density matrix), the squared
 amplitudes or the diagonal, summed over each projector's eigenvectors, give
 the joint law of the site outcomes, and its prefix marginals give each
 site's law given the sites before it.  A shot is n draws down the tree, so
-many shots cost one pass over the state plus O(n) each; the exact twin lists
-the leaves.
+many shots cost one pass over the state plus O(n) each; the exact list is
+the tree's leaves.  The conjugated measurement projects onto the parity's
+eigenspaces through the doubling ladder that prepares the cat
+(``build_parity_conjugator``, depth ceil(log2 n)): in its frame the parity
+is sigma_x on site 1, so one site is collapsed.
 Post states are built only for the records that carry them.  Samplers take
 an explicit numpy Generator and are deterministic given it.  Every
 procedure takes a PureState or a DensityState; a PureState stays a vector
@@ -46,9 +50,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SIGMA_X
-from .network import (
-    CNOT, LocalChannel, Network, Step, _apply_unitary_block, apply, invert_unitary,
-)
+from .network import Network, Step, _apply_unitary_block, apply, cat_ladder, invert_unitary
 from .states import DensityState, PureState
 from .uncertainty import SiteObservable, _commutator_on_range
 
@@ -245,11 +247,6 @@ def sample_outcome(outcomes: list, rng: np.random.Generator):
     return outcomes[int(rng.choice(len(outcomes), p=probs / probs.sum()))]
 
 
-def strong_measure(rho, dec: SpectralDecomposition, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample one projective outcome; deterministic given the generator."""
-    return sample_outcome(strong_measure_exact(rho, dec), rng)
-
-
 # ---------------------------------------------------------------------------
 # Weak measurement of product observables
 # ---------------------------------------------------------------------------
@@ -424,13 +421,6 @@ def weak_measure_shots(rho, site_observables, rngs, post_states: bool = True) ->
     return [tree.outcome(picks, p, post_states) for picks, p in tree.draw(rngs)]
 
 
-def weak_measure_product(rho, site_observables, rng: np.random.Generator) -> WeakOutcome:
-    """Sample one record of ``weak_measure_product_exact``, site by site from
-    the conditional laws; deterministic given the generator."""
-    (outcome,) = weak_measure_shots(rho, site_observables, [rng])
-    return outcome
-
-
 def combined_value_distribution(outcomes) -> dict:
     """Aggregate weak/strong outcome records into value -> probability."""
     dist: dict[float, float] = {}
@@ -523,46 +513,44 @@ def random_product_projection(n: int, l: int, rng: np.random.Generator) -> Produ
 # ---------------------------------------------------------------------------
 
 def build_parity_conjugator(n: int) -> Network:
-    """CNOT chain whose Heisenberg conjugation maps n-fold sigma_x parity
-    to sigma_x on the last site.
+    """The doubling CNOT ladder of ``cat_ladder``, cut to n qubits: the
+    network that prepares the cat also maps the n-fold sigma_x parity to
+    sigma_x on site 1, ``apply_dual(u, tensor sigma_x) == embed(sigma_x, [1])``.
 
-    One gate per step, control descending from site n: the network ``u``
-    satisfies ``apply_dual(u, tensor sigma_x) == embed(sigma_x, [n])``.
+    Its steps are those of ``cat_ladder(ceil(log2 n))`` with every channel
+    that reaches past site n dropped, so the depth is ceil(log2 n); n = 1
+    gives the empty network.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    steps = tuple(
-        Step((LocalChannel((j + 1, j), (CNOT,)),)) for j in range(n - 1, 0, -1)
-    )
-    return Network(n, 2, steps)
+    k = (n - 1).bit_length()
+    steps = cat_ladder(k).steps if k else ()
+    return Network(n, 2, tuple(
+        Step(tuple(ch for ch in step.channels if max(ch.support) <= n)) for step in steps
+    ))
 
 
-def conjugated_strong_measure_exact(rho, conjugator: Network) -> list:
-    """Measure x-parity projectively through the conjugating network.
+def conjugated_strong_measure_exact(rho) -> list:
+    """Measure x-parity projectively through ``build_parity_conjugator``.
 
-    Rotates into the frame where the parity is a single-site observable
-    (adjoint direction of the conjugator), collapses the last site onto each
-    eigenspace of sigma_x, and rotates back; the outcome law equals direct
-    strong measurement of the parity observable.  A PureState stays a vector
+    Rotates into the frame where the parity is sigma_x on site 1 (adjoint
+    direction of the ladder), collapses site 1 onto each eigenspace of
+    sigma_x, and rotates back; the outcome law equals direct strong
+    measurement of the parity observable.  A PureState stays a vector
     throughout (``network.apply``), and its post states are PureStates.
     """
-    if (rho.n, rho.l) != (conjugator.n, conjugator.l) or rho.l != 2:
-        raise ValueError("state and conjugator must be qubit systems of one shape")
-    if not conjugator.is_unitary():
-        raise ValueError("conjugator network must be unitary")
+    if rho.l != 2:
+        raise ValueError(f"conjugated measurement needs qubits, got local dimension {rho.l}")
     n = rho.n
-    rotated = _state_array(apply(invert_unitary(conjugator), rho))
+    ladder = build_parity_conjugator(n)
+    rotated = _state_array(apply(invert_unitary(ladder), rho))
     outcomes = []
     for value in (-1.0, 1.0):
-        m = _collapse_site(rotated, (np.eye(2) + value * SIGMA_X) / 2, n, n, 2)
+        m = _collapse_site(rotated, (np.eye(2) + value * SIGMA_X) / 2, 1, n, 2)
         p = _weight(m)
         if p > PROBABILITY_FLOOR:
-            outcomes.append(MeasurementOutcome(value, p, apply(conjugator, _post_state(m, p, n, 2))))
+            outcomes.append(MeasurementOutcome(value, p, apply(ladder, _post_state(m, p, n, 2))))
     return outcomes
-
-
-def conjugated_strong_measure(rho, conjugator: Network, rng: np.random.Generator) -> MeasurementOutcome:
-    return sample_outcome(conjugated_strong_measure_exact(rho, conjugator), rng)
 
 
 # ---------------------------------------------------------------------------

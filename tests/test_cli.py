@@ -11,8 +11,8 @@ from shallownet.cli import main
 from shallownet.dsl import serialize
 from shallownet.linalg import SIGMA_X, operator_norm
 from shallownet.measurement import (
-    build_parity_conjugator, conjugated_strong_measure, parity_measure_exact,
-    random_product_projection, sample_outcome, spectral_decompose, weak_measure_product,
+    conjugated_strong_measure_exact, parity_measure_exact, random_product_projection,
+    sample_outcome, spectral_decompose, weak_measure_shots,
 )
 from shallownet.network import apply, cat_ladder, invert_unitary, random_shallow
 from shallownet.sweeps import trial_seed
@@ -494,9 +494,9 @@ class TestMeasure:
             if mode == "strong":
                 o = sample_outcome(parity_measure_exact(rho, SIGMA_X), rng)
             elif mode == "weak":
-                o = weak_measure_product(rho, [SIGMA_X] * 3, rng)
+                o = weak_measure_shots(rho, [SIGMA_X] * 3, [rng])[0]
             else:
-                o = conjugated_strong_measure(rho, build_parity_conjugator(3), rng)
+                o = sample_outcome(conjugated_strong_measure_exact(rho), rng)
             value = o.combined_value if mode == "weak" else o.value
             assert (r["value"], r["probability"], r["seed"]) == (value, o.probability, trial_seed(7, shot))
             assert (posts / f"outcome_{shot}.json").read_text() == states.state_to_json(o.post_state)

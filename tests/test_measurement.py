@@ -14,21 +14,21 @@ from shallownet.measurement import (
     check_projection_commutator_bound,
     combined_value_distribution,
     commutator_opnorm,
-    conjugated_strong_measure,
     conjugated_strong_measure_exact,
     is_product_projection,
     parity_measure_exact,
     parity_x_decomposition,
     projection_bound,
     random_product_projection,
+    sample_outcome,
     spectral_decompose,
-    strong_measure,
     strong_measure_exact,
-    weak_measure_product,
     weak_measure_product_exact,
     weak_measure_shots,
 )
-from shallownet.network import apply_dual, identity_network, random_shallow
+from shallownet.network import (
+    apply_dual, cat_ladder, identity_network, invert_unitary, random_shallow,
+)
 from shallownet.states import (
     DensityState,
     PureState,
@@ -131,8 +131,10 @@ class TestStrongMeasure:
             assert again[0].probability == pytest.approx(1.0, abs=1e-10)
 
     def test_sampling_deterministic(self):
-        a = strong_measure(zeros(3), parity_x_decomposition(3), np.random.default_rng(4))
-        b = strong_measure(zeros(3), parity_x_decomposition(3), np.random.default_rng(4))
+        a = sample_outcome(strong_measure_exact(zeros(3), parity_x_decomposition(3)),
+                           np.random.default_rng(4))
+        b = sample_outcome(strong_measure_exact(zeros(3), parity_x_decomposition(3)),
+                           np.random.default_rng(4))
         assert a.value == b.value
 
 
@@ -172,7 +174,7 @@ class TestWeakMeasure:
             assert weak_dist.get(key, 0.0) == pytest.approx(strong_dist.get(key, 0.0), abs=1e-10)
 
     def test_sampled_record_consistent(self):
-        out = weak_measure_product(cat_state(3), [SIGMA_X] * 3, rng=np.random.default_rng(9))
+        out = weak_measure_shots(cat_state(3), [SIGMA_X] * 3, [np.random.default_rng(9)])[0]
         assert out.combined_value == pytest.approx(1.0)
         assert np.prod(out.site_outcomes) == pytest.approx(out.combined_value)
 
@@ -183,7 +185,7 @@ class TestWeakMeasure:
         site_observables = [SIGMA_X, SIGMA_Z, (g + g.conj().T) / 2]
         exact = {o.site_outcomes: o for o in weak_measure_product_exact(rho, site_observables)}
         for seed in range(6):
-            out = weak_measure_product(rho, site_observables, rng=np.random.default_rng(seed))
+            out = weak_measure_shots(rho, site_observables, [np.random.default_rng(seed)])[0]
             twin = exact[out.site_outcomes]
             assert abs(out.probability - twin.probability) <= 1e-10
             assert np.allclose(out.post_state.matrix, twin.post_state.matrix, atol=1e-10, rtol=0.0)
@@ -197,7 +199,7 @@ class TestWeakMeasure:
 
         monkeypatch.setattr(measurement, "spectral_decompose", spy)
         rho = states.random_density_state(4, 2, np.random.default_rng(40))
-        weak_measure_product(rho, [SIGMA_X] * 4, rng=np.random.default_rng(1))
+        weak_measure_shots(rho, [SIGMA_X] * 4, [np.random.default_rng(1)])[0]
         assert len(calls) == 1
         outs = weak_measure_product_exact(rho, [SIGMA_X, SIGMA_Z, SIGMA_X.copy(), SIGMA_Z])
         assert len(calls) == 3
@@ -255,8 +257,8 @@ class TestPureMatchesDensity:
         psi = states.random_pure_state(n, 2, rng)
         obs = random_site_observables(n, rng)
         for shot in range(3):
-            o = weak_measure_product(psi, obs, rng=np.random.default_rng([seed, shot]))
-            d = weak_measure_product(psi.density(), obs, rng=np.random.default_rng([seed, shot]))
+            o = weak_measure_shots(psi, obs, [np.random.default_rng([seed, shot])])[0]
+            d = weak_measure_shots(psi.density(), obs, [np.random.default_rng([seed, shot])])[0]
             assert o.combined_value == d.combined_value
             assert_same_outcomes([o], [d])
 
@@ -284,9 +286,8 @@ class TestPureMatchesDensity:
     @given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
     def test_conjugated_exact(self, n, seed):
         psi = states.random_pure_state(n, 2, np.random.default_rng(seed))
-        conjugator = build_parity_conjugator(n)
-        assert_same_outcomes(conjugated_strong_measure_exact(psi, conjugator),
-                             conjugated_strong_measure_exact(psi.density(), conjugator))
+        assert_same_outcomes(conjugated_strong_measure_exact(psi),
+                             conjugated_strong_measure_exact(psi.density()))
 
     def test_parity_rejects_non_involution(self):
         with pytest.raises(ValueError, match="square to the identity"):
@@ -383,7 +384,7 @@ class TestOutcomeTreeMatchesWalk:
             rho = states.random_density_state(n, l, rng, rank=int(rng.integers(1, 4)))
         obs = [site_observable(l, degenerate[i], rng) for i in range(n)]
         for shot in range(4):
-            got = weak_measure_product(rho, obs, np.random.default_rng([seed, shot]))
+            got = weak_measure_shots(rho, obs, [np.random.default_rng([seed, shot])])[0]
             want = reference_weak_sample(rho, obs, np.random.default_rng([seed, shot]))
             assert_same_records([got], [want])
         assert_same_records(weak_measure_product_exact(rho, obs), reference_weak_exact(rho, obs))
@@ -395,7 +396,7 @@ class TestOutcomeTreeMatchesWalk:
         seeds = range(30)
         shots = weak_measure_shots(rho, obs, [np.random.default_rng(s) for s in seeds])
         for s, o in zip(seeds, shots):
-            one = weak_measure_product(rho, obs, np.random.default_rng(s))
+            one = weak_measure_shots(rho, obs, [np.random.default_rng(s)])[0]
             assert (o.site_outcomes, o.probability) == (one.site_outcomes, one.probability)
             assert np.array_equal(o.post_state.matrix, one.post_state.matrix)
         bare = weak_measure_shots(rho, obs, [np.random.default_rng(s) for s in seeds],
@@ -425,7 +426,7 @@ class TestOutcomeTreeMatchesWalk:
             assert_same_records(exact, reference_weak_exact(rho, obs))
             assert all(0.0 not in o.site_outcomes[::2] for o in exact)
             for seed in range(8):
-                assert_same_records([weak_measure_product(rho, obs, np.random.default_rng(seed))],
+                assert_same_records(weak_measure_shots(rho, obs, [np.random.default_rng(seed)]),
                                     [reference_weak_sample(rho, obs, np.random.default_rng(seed))])
 
     def test_site_observable_of_wrong_dimension_refused(self):
@@ -469,14 +470,33 @@ class TestParityConjugator:
         assert net.depth == 1
         u = embed(net.steps[0].channels[0].kraus[0], net.steps[0].channels[0].support, 2, 2)
         got = u.conj().T @ tensor(SIGMA_X, SIGMA_X) @ u
-        assert np.allclose(got, tensor(np.eye(2), SIGMA_X), atol=1e-12)
+        assert np.allclose(got, tensor(SIGMA_X, np.eye(2)), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
     def test_conjugation_identity(self, n):
         net = build_parity_conjugator(n)
-        assert net.depth == n - 1
+        assert net.depth == math.ceil(math.log2(n))
         got = apply_dual(net, tensor(*([SIGMA_X] * n)))
-        assert np.max(np.abs(got - embed(SIGMA_X, [n], n, 2))) <= 1e-9
+        assert np.max(np.abs(got - embed(SIGMA_X, [1], n, 2))) <= 1e-9
+        back = apply_dual(invert_unitary(net), embed(SIGMA_X, [1], n, 2))
+        assert np.max(np.abs(back - tensor(*([SIGMA_X] * n)))) <= 1e-9
+
+    @pytest.mark.parametrize("n, depth", [(2, 1), (9, 4), (100, 7), (513, 10), (1024, 10)])
+    def test_depth_is_ceil_log2(self, n, depth):
+        net = build_parity_conjugator(n)
+        assert net.depth == depth
+        # every site but the first is the target of one CNOT
+        assert sorted(ch.support[1] for step in net.steps for ch in step.channels) == \
+            list(range(2, n + 1))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_power_of_two_is_the_cat_ladder(self, k):
+        net, ladder = build_parity_conjugator(2**k), cat_ladder(k)
+        assert (net.n, net.l, net.depth) == (ladder.n, ladder.l, ladder.depth)
+        for step, want in zip(net.steps, ladder.steps):
+            assert [ch.support for ch in step.channels] == [ch.support for ch in want.channels]
+            assert [[g.tobytes() for g in ch.kraus] for ch in step.channels] == \
+                [[g.tobytes() for g in ch.kraus] for ch in want.channels]
 
 
 class TestConjugatedMeasurement:
@@ -486,7 +506,7 @@ class TestConjugatedMeasurement:
     ], ids=["1", "2", "4", "plus-zero-plus"])
     def test_same_law_as_direct_strong(self, rho):
         direct = strong_measure_exact(rho, parity_x_decomposition(rho.n))
-        via = conjugated_strong_measure_exact(rho, build_parity_conjugator(rho.n))
+        via = conjugated_strong_measure_exact(rho)
         assert len(direct) == len(via)
         for d, v in zip(direct, via):
             assert d.value == v.value
@@ -495,26 +515,24 @@ class TestConjugatedMeasurement:
                                states.density_matrix(v.post_state), atol=1e-9)
 
     def test_cat_unchanged(self):
-        outs = conjugated_strong_measure_exact(cat_state(4), build_parity_conjugator(4))
+        outs = conjugated_strong_measure_exact(cat_state(4))
         assert len(outs) == 1
         assert outs[0].value == 1.0
         assert outs[0].probability == pytest.approx(1.0, abs=1e-9)
         assert fidelity(outs[0].post_state, cat_state(4)) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_site_plain_x_measurement(self):
-        outs = conjugated_strong_measure_exact(zeros(1), build_parity_conjugator(1))
+        outs = conjugated_strong_measure_exact(zeros(1))
         dist = combined_value_distribution(outs)
         assert dist == pytest.approx({1.0: 0.5, -1.0: 0.5}, abs=1e-12)
 
     def test_sampled(self):
-        out = conjugated_strong_measure(zeros(3), build_parity_conjugator(3),
-                                        np.random.default_rng(1))
+        out = sample_outcome(conjugated_strong_measure_exact(zeros(3)), np.random.default_rng(1))
         assert out.value in (-1.0, 1.0)
 
-    def test_rejects_noisy_conjugator(self):
-        noisy = random_shallow(3, 1, 0, noise=0.3)
-        with pytest.raises(ValueError):
-            conjugated_strong_measure_exact(zeros(3), noisy)
+    def test_rejects_qudits(self):
+        with pytest.raises(ValueError, match="local dimension 3"):
+            conjugated_strong_measure_exact(product_state([np.eye(3)[0]] * 2))
 
 
 class TestCommutatorOpnorm:
@@ -544,6 +562,19 @@ class TestProjectionBoundCheck:
         assert check.lhs == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
         assert check.lhs == pytest.approx(0.35355, abs=1e-5)
         assert check.bound == pytest.approx(0.5)
+        assert check.passed
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_parity_ladder_meets_the_bound(self, n):
+        """The inverted ladder propagates the site-1 projector (I + X)/2 to the
+        parity projector (I + X^n)/2, whose commutator with abar_z is 1/2 at
+        every n: a depth-k conjugator needs 2^k / sqrt(2n) >= 1/2, i.e.
+        k >= log2 sqrt(n/2), and the ladder's ceil(log2 n) meets it."""
+        eye = np.eye(2, dtype=complex)
+        site = ProductProjection(((eye + SIGMA_X) / 2,) + (eye,) * (n - 1))
+        net = invert_unitary(build_parity_conjugator(n))
+        check = check_projection_commutator_bound(net, site, SiteObservable(SIGMA_Z / 2))
+        assert abs(check.lhs - 0.5) <= 1e-12
         assert check.passed
 
     def test_identity_projection_commutes(self):

@@ -109,7 +109,7 @@ class TestTrustedProducers:
         out = network.apply(network.random_shallow(3, 2, rng, noise=0.2), rho)
         [post, *_] = measurement.strong_measure_exact(out, measurement.spectral_decompose(
             linalg.tensor(*([linalg.SIGMA_X] * 3))))
-        weak = measurement.weak_measure_product(out, [linalg.SIGMA_Z] * 3, rng)
+        weak = measurement.weak_measure_shots(out, [linalg.SIGMA_Z] * 3, [rng])[0]
         psi = states.random_pure_state(3, 2, rng)
         for state in (rho, out, post.post_state, weak.post_state, psi.density()):
             assert isinstance(state, DensityState)

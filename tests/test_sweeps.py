@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shallownet import sweeps, uncertainty
-from shallownet.measurement import weak_measure_product
+from shallownet.measurement import weak_measure_shots
 from shallownet.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from shallownet.network import apply, random_shallow
 from shallownet.states import PureState, cat_state, mix, random_product_input
@@ -27,8 +27,8 @@ class TestTrialSeed:
     def test_shot_reproducibility(self):
         # a report row's seed re-runs that trial's randomness in isolation
         sub = trial_seed(3, 5)
-        a = weak_measure_product(cat_state(3), [SIGMA_X] * 3, rng=np.random.default_rng(sub))
-        b = weak_measure_product(cat_state(3), [SIGMA_X] * 3, rng=np.random.default_rng(sub))
+        a = weak_measure_shots(cat_state(3), [SIGMA_X] * 3, [np.random.default_rng(sub)])[0]
+        b = weak_measure_shots(cat_state(3), [SIGMA_X] * 3, [np.random.default_rng(sub)])[0]
         assert a.site_outcomes == b.site_outcomes
 
 
